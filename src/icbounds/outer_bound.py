@@ -2,13 +2,18 @@
 
 The bound is a family of 16 linear rate constraints parameterized by a pair
 (alpha, beta) in the unit square; the bound region is the union of the
-per-parameter polytopes.  The union is computed on a uniform parameter grid
-with per-column maximization of R2, which is exact at every sampled abscissa
-and monotone under grid refinement.
+per-parameter polytopes.  The union is taken over a warped parameter grid on
+each axis plus two cliff families that pin the feasibility edges, in three
+product blocks.  Each right-hand side depends on alpha alone or on beta
+alone, so the largest R2 at a given R1 over a block is the min of a max over
+its alphas and a max over its betas: two 1-D sweeps instead of a 2-D one,
+with the same values bit for bit.  The frontier is exact at every sampled
+abscissa for the swept parameter set and monotone under grid refinement.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -195,13 +200,71 @@ def _cliff_beta(ch: GaussianIC, levels: int) -> np.ndarray:
     return np.interp(lvl, bound, dense)
 
 
-class _UnionEvaluator:
-    """Per-column union frontier over the parameter grid.
+# The (c1, c2) classes whose constraints reduce to one bound each, in the
+# order m10, m01, m11, m21, m12.
+_CLASSES: tuple[tuple[float, float], ...] = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2))
 
-    The 16 constraints collapse, per grid cell, to one reduced bound per
-    (c1, c2) class; the frontier at abscissa x is then
-    max over cells of min(m01, m11 - x, m21 - 2x, (m12 - x)/2)
-    restricted to cells whose R1-only bound m10 admits x.
+
+def _side_bounds(rhs, n_alpha: int, n_beta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced bounds per constraint class, split into alpha and beta sides.
+
+    ``rhs`` comes from ``_rhs_table`` evaluated on a column of alphas and a
+    row of betas, so an entry that depends on one parameter alone is shaped
+    (n_alpha, 1) or (1, n_beta).  Each class bound is the min of its
+    constraints, so it splits as min(alpha side, beta side); a side with no
+    constraint of the class holds +inf.  Returns two (5, n) arrays with rows
+    m10, m01, m11, m21, m12.  Raises if an entry depends on both parameters:
+    the union would then not separate.
+    """
+    parts = ([[] for _ in _CLASSES], [[] for _ in _CLASSES])
+    for i, (r, coeffs) in enumerate(zip(rhs, COEFFS)):
+        shape = np.shape(r)
+        if shape == (n_alpha, 1):
+            side = 0
+        elif shape == (1, n_beta):
+            side = 1
+        else:
+            raise RuntimeError(
+                f"constraint c{i + 1:02d} has shape {shape}, not a function of "
+                f"alpha alone ({n_alpha}, 1) or beta alone (1, {n_beta})"
+            )
+        parts[side][_CLASSES.index(coeffs)].append(np.ravel(r))
+    return tuple(
+        np.array([np.minimum.reduce(p) if p else np.full(n, np.inf) for p in cls])
+        for cls, n in zip(parts, (n_alpha, n_beta))
+    )
+
+
+def _side_frontier(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """max over one side's parameters of F_x, for each abscissa in x.
+
+    F_x = min(m01, m11 - x, m21 - 2x, (m12 - x)/2), or -inf where m10 < x.
+    """
+    m10, m01, m11, m21, m12 = m[:, :, None]
+    f = m11 - x
+    np.minimum(f, m01, out=f)
+    np.minimum(f, m21 - 2.0 * x, out=f)
+    np.minimum(f, (m12 - x) / 2.0, out=f)
+    f[m10 < x] = -np.inf
+    return f.max(axis=0)
+
+
+class _UnionEvaluator:
+    """Union frontier over three product blocks of parameters.
+
+    The parameter set is the warped base grid on each axis plus the two cliff
+    families, taken as three product blocks: alpha grid x beta grid, alpha
+    cliffs x beta grid and alpha grid x beta cliffs.  Every right-hand side
+    depends on alpha alone or beta alone, so each reduced bound is
+    min(a(alpha), b(beta)), and on a block A x B the frontier at abscissa x is
+
+        min(max_{alpha in A} F_x(alpha), max_{beta in B} G_x(beta))
+
+    with F_x from ``_side_frontier`` on the alpha side and G_x the same on
+    the beta side.  This equals the per-cell maximization over A x B exactly
+    in floating point: t - x, t - 2x and (t - x)/2 round monotonically in t,
+    so min commutes with them, and the max of min(F, G) over a product is
+    min(max F, max G).  The union frontier is the max over the blocks.
     """
 
     def __init__(self, ch: GaussianIC, grid_n: int):
@@ -209,50 +272,63 @@ class _UnionEvaluator:
         be_g = _param_grid(grid_n, (ch.s11**2 + ch.s21**2) * ch.p1)
         al_c = _cliff_alpha(ch, CLIFF_LEVELS)
         be_c = _cliff_beta(ch, CLIFF_LEVELS)
-        # base grid plus two cross families pinning the feasibility edges
-        blocks = [(al_g, be_g), (al_c, be_g), (al_g, be_c)]
-        alphas = np.concatenate([np.repeat(a, b.size) for a, b in blocks])
-        betas = np.concatenate([np.tile(b, a.size) for a, b in blocks])
-        rhs, _ = _rhs_table(ch, alphas, betas)
-        flat = [np.broadcast_to(r, alphas.shape).reshape(-1) for r in rhs]
-        self.m10 = np.minimum(flat[0], flat[1])
-        self.m01 = np.minimum(flat[2], flat[3])
-        self.m11 = np.minimum.reduce(flat[4:10])
-        self.m21 = np.minimum.reduce([flat[10], flat[12], flat[14]])
-        self.m12 = np.minimum.reduce([flat[11], flat[13], flat[15]])
-        self.r1_cap = float(np.max(self.m10))
+        al = np.concatenate([al_g, al_c])
+        be = np.concatenate([be_g, be_c])
+        rhs, _ = _rhs_table(ch, al[:, None], be[None, :])
+        a, b = _side_bounds(rhs, al.size, be.size)
+        # the four axis sets: alpha grid, alpha cliffs, beta grid, beta cliffs
+        self.sides = (a[:, :grid_n], a[:, grid_n:], b[:, :grid_n], b[:, grid_n:])
+        # the product blocks as index pairs into sides; an empty cliff family
+        # (no alpha cliffs when s12 = 0) contributes no block
+        self.blocks = [(i, j) for i, j in ((0, 2), (1, 2), (0, 3))
+                       if self.sides[i].size and self.sides[j].size]
+        self.r1_cap = float(max(
+            min(self.sides[i][0].max(), self.sides[j][0].max())
+            for i, j in self.blocks
+        ))
 
     def frontier(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        side_max = [_side_frontier(m, x) if m.size else None for m in self.sides]
         out = np.full(x.shape, -np.inf)
-        chunk = max(1, int(2_000_000 // max(x.size, 1)))
-        for lo in range(0, self.m10.size, chunk):
-            hi = lo + chunk
-            f = self.m11[lo:hi, None] - x[None, :]
-            np.minimum(f, self.m01[lo:hi, None], out=f)
-            np.minimum(f, self.m21[lo:hi, None] - 2.0 * x[None, :], out=f)
-            np.minimum(f, (self.m12[lo:hi, None] - x[None, :]) / 2.0, out=f)
-            f[self.m10[lo:hi, None] < x[None, :]] = -np.inf
-            np.maximum(out, f.max(axis=0), out=out)
+        for i, j in self.blocks:
+            np.maximum(out, np.minimum(side_max[i], side_max[j]), out=out)
         return out
 
     def max_sum(self) -> float:
         """Exact max of R1 + R2 over the union of cell polytopes."""
-        m10, m01 = self.m10, self.m01
-        m11, m21, m12 = self.m11, self.m21, self.m12
-        # Per cell, maximize min(x + m01, m11, m21 - x, (m12 + x)/2) over
-        # feasible x; candidates are the pairwise balance points.
-        x_hi = np.minimum.reduce([m10, m11, m21 / 2.0, m12])
-        x_hi = np.maximum(x_hi, 0.0)
-        cands = [np.zeros_like(x_hi), x_hi,
-                 (m21 - m01) / 2.0, m11 - m01,
-                 (2.0 * m21 - m12) / 3.0, 2.0 * m11 - m12]
-        best = np.full(m10.shape, -np.inf)
-        for x in cands:
-            x = np.clip(x, 0.0, x_hi)
-            val = np.minimum.reduce([x + m01, m11, m21 - x, (m12 + x) / 2.0])
-            np.maximum(best, val, out=best)
-        return float(np.max(best))
+        return max(
+            _cell_max_sum(*np.minimum(self.sides[i][:, :, None],
+                                      self.sides[j][:, None, :]))
+            for i, j in self.blocks
+        )
+
+
+def _cell_max_sum(m10, m01, m11, m21, m12) -> float:
+    """Max of R1 + R2 over cells given their reduced bounds (equal shapes)."""
+    # Per cell, maximize min(x + m01, m11, m21 - x, (m12 + x)/2) over
+    # feasible x; candidates are the pairwise balance points.
+    x_hi = np.minimum.reduce([m10, m11, m21 / 2.0, m12])
+    x_hi = np.maximum(x_hi, 0.0)
+    cands = [np.zeros_like(x_hi), x_hi,
+             (m21 - m01) / 2.0, m11 - m01,
+             (2.0 * m21 - m12) / 3.0, 2.0 * m11 - m12]
+    best = np.full(m10.shape, -np.inf)
+    for x in cands:
+        x = np.clip(x, 0.0, x_hi)
+        val = np.minimum.reduce([x + m01, m11, m21 - x, (m12 + x) / 2.0])
+        np.maximum(best, val, out=best)
+    return float(np.max(best))
+
+
+@functools.lru_cache(maxsize=1)
+def _evaluator(ch: GaussianIC, grid_n: int) -> _UnionEvaluator:
+    """The evaluator of the last channel and grid asked for.
+
+    A command that draws the frontier and then prints the sum rate, as
+    ``outer`` does, builds it once.
+    """
+    return _UnionEvaluator(ch, grid_n)
 
 
 def outer_region(
@@ -263,7 +339,7 @@ def outer_region(
     """Union of the per-parameter polytopes over a grid_n x grid_n sweep."""
     if grid_n < 2:
         raise InputError("grid_n must be at least 2")
-    ev = _UnionEvaluator(ch, grid_n)
+    ev = _evaluator(ch, grid_n)
     if ev.r1_cap <= 0:
         return point_region("outer")
     grid = np.linspace(0.0, ev.r1_cap, samples)
@@ -279,4 +355,4 @@ def sum_rate_bound(ch: GaussianIC, grid_n: int = DEFAULT_GRID) -> float:
     """Largest R1 + R2 admitted by the union bound."""
     if grid_n < 2:
         raise InputError("grid_n must be at least 2")
-    return max(_UnionEvaluator(ch, grid_n).max_sum(), 0.0)
+    return max(_evaluator(ch, grid_n).max_sum(), 0.0)

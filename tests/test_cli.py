@@ -57,6 +57,27 @@ def test_outer_hull_flag(tmp_path, runner):
                     tol=1e-6)
 
 
+def test_outer_builds_one_evaluator(tmp_path, runner, monkeypatch):
+    from icbounds import outer_bound
+
+    built = []
+
+    class Counting(outer_bound._UnionEvaluator):
+        def __init__(self, ch, grid_n):
+            built.append(grid_n)
+            super().__init__(ch, grid_n)
+
+    monkeypatch.setattr(outer_bound, "_UnionEvaluator", Counting)
+    outer_bound._evaluator.cache_clear()
+    spec = write_json(tmp_path / "ch.json", gaussian_doc())
+    res = runner.invoke(main, ["outer", "--channel", spec, "--grid", "11",
+                               "--out", str(tmp_path / "region.csv")])
+    assert res.exit_code == 0, res.output
+    assert "max sum rate" in res.output
+    assert built == [11]
+    outer_bound._evaluator.cache_clear()
+
+
 def test_outer_rejects_malformed_json(tmp_path, runner):
     bad = tmp_path / "bad.json"
     bad.write_text('{"type": "gaussian", ')

@@ -14,9 +14,10 @@ from icbounds import (
     region_at,
     sum_rate_bound,
 )
+from icbounds import outer_bound as ob
 from icbounds.errors import InputError
 
-from conftest import random_channel
+from conftest import FlatUnionOracle, random_channel
 
 FIG2 = GaussianIC(100, 60, 60, 100, 1.0, 1.0, 0.5, 0.5)
 FIG3 = GaussianIC(60, 100, 100, 60, 1.0, 1.0, 0.5, 0.5)
@@ -194,3 +195,60 @@ def test_grid_validation():
         outer_region(FIG2, grid_n=1)
     with pytest.raises(InputError):
         sum_rate_bound(FIG2, grid_n=0)
+
+
+# Channels for the evaluator-vs-oracle check beyond the presets and random
+# draws: s12 = 0 (no alpha cliffs), zero gain (no cliffs at all), zero power,
+# and |s21| = |s11| or |s12| = |s22| with the other cross link weak or strong.
+EDGE_CHANNELS = [
+    GaussianIC(1.5, 0.0, 0.8, 2.0, 1.0, 1.0, 0.3, 0.2),
+    GaussianIC(0, 0, 0, 0, 2.0, 3.0, 1.0, 1.0),
+    GaussianIC(3, 2, 1, 4, 0.0, 0.0, 0.7, 0.9),
+    GaussianIC(1.5, 0.7, 1.5, 2.0, 2.0, 1.0, 0.3, 0.4),
+    GaussianIC(1.5, 2.5, 1.5, 2.0, 2.0, 1.0, 0.3, 0.4),
+    GaussianIC(2.0, 1.5, 0.7, 1.5, 1.0, 2.0, 0.4, 0.3),
+    GaussianIC(0.5, 1.5, 0.7, 1.5, 1.0, 2.0, 0.4, 0.3),
+]
+
+
+def _assert_matches_oracle(ch, grid_n, rng):
+    want = FlatUnionOracle(ch, grid_n)
+    got = ob._UnionEvaluator(ch, grid_n)
+    assert got.r1_cap == want.r1_cap
+    xs = np.concatenate([np.linspace(0.0, want.r1_cap, 512),
+                         rng.uniform(-0.2, 1.2, 200) * max(want.r1_cap, 1.0)])
+    assert np.array_equal(got.frontier(xs), want.frontier(xs))
+    assert got.max_sum() == want.max_sum()
+
+
+@pytest.mark.parametrize("grid_n", [21, 201])
+@pytest.mark.parametrize("ch", [FIG2, FIG3, FIG4], ids=["fig2", "fig3", "fig4"])
+def test_evaluator_matches_flat_oracle_presets(ch, grid_n, rng):
+    _assert_matches_oracle(ch, grid_n, rng)
+
+
+def test_evaluator_matches_flat_oracle_random_and_edge(rng):
+    for ch in [random_channel(rng) for _ in range(20)] + EDGE_CHANNELS:
+        _assert_matches_oracle(ch, 11, rng)
+
+
+def test_rhs_entries_depend_on_one_parameter(rng):
+    al, be = np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 5)
+    for ch in [random_channel(rng) for _ in range(50)] + EDGE_CHANNELS:
+        rhs, _ = ob._rhs_table(ch, al[:, None], be[None, :])
+        assert len(rhs) == 16
+        for r in rhs:
+            assert np.shape(r) in ((7, 1), (1, 5))
+
+
+def test_evaluator_rejects_mixed_parameter_rhs(monkeypatch):
+    table = ob._rhs_table
+
+    def mixed(ch, alpha, beta):
+        rhs, alternatives = table(ch, alpha, beta)
+        rhs[6] = rhs[6] + 0.0 * alpha  # now shaped (n_alpha, n_beta)
+        return rhs, alternatives
+
+    monkeypatch.setattr(ob, "_rhs_table", mixed)
+    with pytest.raises(RuntimeError, match="c07"):
+        ob._UnionEvaluator(FIG2, 5)
