@@ -47,11 +47,8 @@ from .regions import (
     frontier_csv,
     gap,
     includes,
-    region_from_json_dict,
-    region_to_json_dict,
-    union_frontier,
 )
-from .sim import CellPartition, SimConfig, SimResult, partition, simulate
+from .sim import CellPartition, SimConfig, SimResult, simulate
 
 __all__ = [
     "AuxJointDist", "BoundParams", "CellPartition", "ConditionReport",
@@ -62,10 +59,9 @@ __all__ = [
     "convex_hull", "derived_signals", "effective_form", "from_constraints",
     "from_csv", "frontier_csv", "full_system", "gap", "gaussian_mi",
     "includes", "inner_region_one_sided", "inner_region_strong", "mi",
-    "outer_constraints", "outer_region", "partition", "psi", "region_at",
-    "region_from_json_dict", "region_to_json_dict",
+    "outer_constraints", "outer_region", "psi", "region_at",
     "simulate", "sum_capacity_fwd_interference", "sum_capacity_fwd_own",
-    "sum_rate_bound", "union_frontier",
+    "sum_rate_bound",
 ]
 
 __version__ = "0.1.0"

@@ -206,47 +206,33 @@ def cmd_inner(channel_path: str, theorem: str, out_path: str | None,
     """Capacity-side evaluation: region CSV or sum-capacity JSON."""
     ch = load_channel(channel_path)
     if theorem in ("2", "5") and isinstance(ch, dsc.DiscreteIC):
-        if theorem == "2":
-            region = dsc.inner_region_strong(ch, ch.d12, grid=grid)
-        else:
-            region = dsc.inner_region_one_sided(ch, ch.d12, grid=grid)
-        if out_path is None:
-            raise InputError("--out is required for region output")
-        _write_region_csv(region, out_path)
-        click.echo(f"wrote {out_path}")
-        return
-    if theorem == "2":
-        if not isinstance(ch, regimes.CorrelatedGaussianIC) or ch.kind != "gaussian-6":
-            raise InputError("theorem 2 needs a 'gaussian-6' or discrete spec")
-        region = regimes.capacity_region_strong(ch, force=force)
-        if out_path is None:
-            raise InputError("--out is required for region output")
-        _write_region_csv(region, out_path)
-        click.echo(f"wrote {out_path}")
-    elif theorem == "3":
-        if not isinstance(ch, regimes.CorrelatedGaussianIC) or ch.kind != "gaussian-6":
-            raise InputError("theorem 3 needs a 'gaussian-6' spec")
-        value = regimes.sum_capacity_fwd_own(ch, force=force)
-        payload = {"sum_capacity": value, "theorem": 3}
-        _echo_json(payload)
-        if out_path:
-            Path(out_path).write_text(json.dumps(payload, sort_keys=True) + "\n")
-    elif theorem == "4":
-        if not isinstance(ch, regimes.CorrelatedGaussianIC) or ch.kind != "gaussian-13":
-            raise InputError("theorem 4 needs a 'gaussian-13' spec")
-        value = regimes.sum_capacity_fwd_interference(ch, force=force)
-        payload = {"sum_capacity": value, "theorem": 4}
-        _echo_json(payload)
-        if out_path:
-            Path(out_path).write_text(json.dumps(payload, sort_keys=True) + "\n")
-    else:  # theorem 5
+        inner = dsc.inner_region_strong if theorem == "2" else dsc.inner_region_one_sided
+        result = inner(ch, ch.d12, grid=grid)
+    elif theorem == "5":
         if not isinstance(ch, GaussianIC):
             raise InputError("theorem 5 needs a one-sided 'gaussian' or discrete spec")
-        region = regimes.capacity_region_one_sided(ch, force=force)
+        result = regimes.capacity_region_one_sided(ch, force=force)
+    else:
+        kind, spec, evaluate = {
+            "2": ("gaussian-6", "a 'gaussian-6' or discrete spec",
+                  regimes.capacity_region_strong),
+            "3": ("gaussian-6", "a 'gaussian-6' spec", regimes.sum_capacity_fwd_own),
+            "4": ("gaussian-13", "a 'gaussian-13' spec",
+                  regimes.sum_capacity_fwd_interference),
+        }[theorem]
+        if not isinstance(ch, regimes.CorrelatedGaussianIC) or ch.kind != kind:
+            raise InputError(f"theorem {theorem} needs {spec}")
+        result = evaluate(ch, force=force)
+    if isinstance(result, regions.RateRegion):
         if out_path is None:
             raise InputError("--out is required for region output")
-        _write_region_csv(region, out_path)
+        _write_region_csv(result, out_path)
         click.echo(f"wrote {out_path}")
+        return
+    text = json.dumps({"sum_capacity": result, "theorem": int(theorem)}, sort_keys=True)
+    click.echo(text)
+    if out_path:
+        Path(out_path).write_text(text + "\n")
 
 
 @main.command("check")

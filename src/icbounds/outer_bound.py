@@ -52,8 +52,7 @@ class BoundParams:
 def _rhs_table(ch: GaussianIC, alpha, beta):
     """Right-hand sides of the 16 constraints, broadcast over alpha/beta.
 
-    Returns (rhs, alternatives) where rhs is a list of 16 arrays and
-    alternatives maps the min-of-two constraints to their branch values.
+    Returns a list of 16 arrays in canonical constraint order.
     """
     al = np.asarray(alpha, dtype=float)
     be = np.asarray(beta, dtype=float)
@@ -126,23 +125,15 @@ def _rhs_table(ch: GaussianIC, alpha, beta):
                + d * p2 + det2 * p1 * p2 / (1 + c * p1))
            + psi(c * p1 + d * p2) + d12 + np.zeros_like(al))
 
-    rhs = [k1, k2, k3, k4, k5, k6, k7, k8, k9, k10,
-           k11, k12, k13, k14, k15, k16]
-    alternatives = {0: (r1a, r1b), 1: (r2a, r2b), 2: (r3a, r3b), 3: (r4a, r4b)}
-    return rhs, alternatives
+    return [k1, k2, k3, k4, k5, k6, k7, k8, k9, k10,
+            k11, k12, k13, k14, k15, k16]
 
 
 def constraints_at(ch: GaussianIC, params: BoundParams) -> list[RateConstraint]:
     """The 16 rate constraints at one parameter point, in canonical order."""
-    rhs, alternatives = _rhs_table(ch, params.alpha, params.beta)
-    out = []
-    for i, ((c1, c2), r) in enumerate(zip(COEFFS, rhs)):
-        alt = alternatives.get(i)
-        out.append(RateConstraint(
-            c1, c2, float(r), tag=f"c{i + 1:02d}",
-            alternatives=tuple(float(v) for v in alt) if alt else None,
-        ))
-    return out
+    rhs = _rhs_table(ch, params.alpha, params.beta)
+    return [RateConstraint(c1, c2, float(r), tag=f"c{i + 1:02d}")
+            for i, ((c1, c2), r) in enumerate(zip(COEFFS, rhs))]
 
 
 def region_at(ch: GaussianIC, params: BoundParams) -> RateRegion:
@@ -274,7 +265,7 @@ class _UnionEvaluator:
         be_c = _cliff_beta(ch, CLIFF_LEVELS)
         al = np.concatenate([al_g, al_c])
         be = np.concatenate([be_g, be_c])
-        rhs, _ = _rhs_table(ch, al[:, None], be[None, :])
+        rhs = _rhs_table(ch, al[:, None], be[None, :])
         a, b = _side_bounds(rhs, al.size, be.size)
         # the four axis sets: alpha grid, alpha cliffs, beta grid, beta cliffs
         self.sides = (a[:, :grid_n], a[:, grid_n:], b[:, :grid_n], b[:, grid_n:])

@@ -8,13 +8,12 @@ conference link is receiver 2, budget d12) admit exact capacity statements:
 
 plus the one-sided channel (s12 = 0).  Each evaluator computes its region or
 sum rate with independent full-power Gaussian inputs through the covariance
-oracle; an optional power sweep probes whether backing off power (with a
-time-sharing hull) ever enlarges the answer.
+oracle.  :func:`classify` is the one place that computes a regime threshold;
+every evaluator's regime gate asks it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,14 +25,8 @@ from .errors import (
     UndefinedThresholdError,
 )
 from .gaussian import GaussianIC, GaussianSystem, gaussian_mi, psi
-from .regions import (
-    RateConstraint,
-    RateRegion,
-    from_constraints,
-    hull_of_points,
-)
+from .regions import RateConstraint, RateRegion, from_constraints
 
-KINDS = ("gaussian-6", "gaussian-13")
 REGIME_TOL = 1e-9
 
 
@@ -71,11 +64,9 @@ class CorrelatedGaussianIC:
         object.__setattr__(self, "gain", h)
         object.__setattr__(self, "noise_cov", (n + n.T) / 2)
 
-    def system(self, p1: float | None = None, p2: float | None = None) -> GaussianSystem:
-        q1 = self.p1 if p1 is None else p1
-        q2 = self.p2 if p2 is None else p2
+    def system(self) -> GaussianSystem:
         cov = np.zeros((4, 4))
-        cov[0, 0], cov[1, 1] = q1, q2
+        cov[0, 0], cov[1, 1] = self.p1, self.p2
         cov[2:, 2:] = self.noise_cov
         base = GaussianSystem(("x1", "x2", "n1", "n2"), cov)
         h = self.gain
@@ -163,119 +154,80 @@ def classify(kind: str, s11: float, s12: float, s21: float, s22: float) -> Regim
     raise ChannelShapeError(f"unknown channel kind {kind!r}")
 
 
-def _require(ch: CorrelatedGaussianIC, want: str, force: bool) -> None:
+def _require(kind: str | None, gains: tuple[float, float, float, float] | None,
+             want: str, force: bool) -> None:
+    """Pass when ``classify`` labels the channel ``want`` or puts it within
+    REGIME_TOL of the threshold; ``classify`` raises on an undefined one."""
     if force:
         return
-    if ch.kind is None or ch.gains is None:
+    if kind is None or gains is None:
         raise RegimeViolationError(
             "channel carries no regime metadata; pass force=True to evaluate anyway"
         )
-    s11, s12, s21, s22 = ch.gains
-    if want in ("corollary-1", "corollary-2"):
-        thr = (s11**2 - s21**2) / (2 * s11 * s21) if s11 and s21 else math.inf
-        margin = (s22 - thr) if want == "corollary-1" else (thr - s22)
-    else:  # corollary-3
-        thr = (s21**2 - s11**2) / (2 * s11 * s21) if s11 and s21 else -math.inf
-        margin = thr - s12
-    if not (margin >= -REGIME_TOL):
-        raise RegimeViolationError(
-            f"channel violates {want} (margin {margin:.6g}); use force to override"
-        )
+    report = classify(kind, *gains)
+    if report.label == want or abs(report.margin) <= REGIME_TOL:
+        return
+    raise RegimeViolationError(
+        f"channel violates {want} (classified {report.label}, margin "
+        f"{report.margin:.6g}); use force to override"
+    )
 
 
-def _power_grid(p: float, steps: int) -> np.ndarray:
-    if steps <= 1 or p == 0:
-        return np.array([p])
-    return np.linspace(0.0, p, steps)
-
-
-def capacity_region_strong(
-    ch: CorrelatedGaussianIC, force: bool = False, power_steps: int = 1
-) -> RateRegion:
+def capacity_region_strong(ch: CorrelatedGaussianIC, force: bool = False) -> RateRegion:
     """Capacity region in the strong regime (both receivers decode both).
 
     R1 <= I(x1;y1|x2), R2 <= min(I(x2;y2|x1) + d12, I(x2;y1|x1)),
     R1+R2 <= min(I(x1,x2;y2) + d12, I(x1,x2;y1)), evaluated with independent
-    full-power Gaussian inputs; power_steps > 1 adds a power-backoff sweep
-    with a time-sharing hull.
+    full-power Gaussian inputs.
     """
     if ch.kind == "gaussian-13":
         raise ChannelShapeError("strong-regime region applies to gaussian-6 channels")
-    _require(ch, "corollary-1", force)
-    pts: list[tuple[float, float]] = []
-    best: RateRegion | None = None
-    for q1 in _power_grid(ch.p1, power_steps):
-        for q2 in _power_grid(ch.p2, power_steps):
-            sys = ch.system(q1, q2)
-            r1 = gaussian_mi(sys, ("x1",), ("y1",), ("x2",))
-            r2 = min(gaussian_mi(sys, ("x2",), ("y2",), ("x1",)) + ch.d12,
-                     gaussian_mi(sys, ("x2",), ("y1",), ("x1",)))
-            s = min(gaussian_mi(sys, ("x1", "x2"), ("y2",)) + ch.d12,
-                    gaussian_mi(sys, ("x1", "x2"), ("y1",)))
-            reg = from_constraints([
-                RateConstraint(1, 0, r1, "r1"),
-                RateConstraint(0, 1, r2, "r2"),
-                RateConstraint(1, 1, s, "sum"),
-            ], tag="strong-capacity")
-            if q1 == ch.p1 and q2 == ch.p2:
-                best = reg
-            pts.extend(map(tuple, zip(reg.r1, reg.r2)))
-    assert best is not None
-    if power_steps <= 1:
-        return best
-    return hull_of_points(pts, tag="strong-capacity")
+    _require(ch.kind, ch.gains, "corollary-1", force)
+    sys = ch.system()
+    r1 = gaussian_mi(sys, ("x1",), ("y1",), ("x2",))
+    r2 = min(gaussian_mi(sys, ("x2",), ("y2",), ("x1",)) + ch.d12,
+             gaussian_mi(sys, ("x2",), ("y1",), ("x1",)))
+    s = min(gaussian_mi(sys, ("x1", "x2"), ("y2",)) + ch.d12,
+            gaussian_mi(sys, ("x1", "x2"), ("y1",)))
+    return from_constraints([
+        RateConstraint(1, 0, r1, "r1"),
+        RateConstraint(0, 1, r2, "r2"),
+        RateConstraint(1, 1, s, "sum"),
+    ], tag="strong-capacity")
 
 
-def sum_capacity_fwd_own(
-    ch: CorrelatedGaussianIC, force: bool = False, power_steps: int = 1
-) -> float:
+def sum_capacity_fwd_own(ch: CorrelatedGaussianIC, force: bool = False) -> float:
     """Sum capacity when the conference forwards receiver 2's own message.
 
-    min(I(x1;y1|x2) + I(x2;y2) + d12, I(x1,x2;y1)) at full power; the power
-    sweep takes the max over the input family.
+    min(I(x1;y1|x2) + I(x2;y2) + d12, I(x1,x2;y1)) at full power.
     """
     if ch.kind == "gaussian-13":
         raise ChannelShapeError("this sum capacity applies to gaussian-6 channels")
-    _require(ch, "corollary-2", force)
-    best = 0.0
-    for q1 in _power_grid(ch.p1, power_steps):
-        for q2 in _power_grid(ch.p2, power_steps):
-            sys = ch.system(q1, q2)
-            val = min(
-                gaussian_mi(sys, ("x1",), ("y1",), ("x2",))
-                + gaussian_mi(sys, ("x2",), ("y2",)) + ch.d12,
-                gaussian_mi(sys, ("x1", "x2"), ("y1",)),
-            )
-            if q1 == ch.p1 and q2 == ch.p2:
-                full = val
-            best = max(best, val)
-    return full if power_steps <= 1 else best
+    _require(ch.kind, ch.gains, "corollary-2", force)
+    sys = ch.system()
+    return min(
+        gaussian_mi(sys, ("x1",), ("y1",), ("x2",))
+        + gaussian_mi(sys, ("x2",), ("y2",)) + ch.d12,
+        gaussian_mi(sys, ("x1", "x2"), ("y1",)),
+    )
 
 
 def sum_capacity_fwd_interference(
-    ch: CorrelatedGaussianIC, force: bool = False, power_steps: int = 1
+    ch: CorrelatedGaussianIC, force: bool = False
 ) -> float:
     """Sum capacity when the conference forwards interference information.
 
-    min(I(x2;y2|x1) + I(x1;y1), I(x1,x2;y2) + d12) with the same input
-    conventions as :func:`sum_capacity_fwd_own`.
+    min(I(x2;y2|x1) + I(x1;y1), I(x1,x2;y2) + d12) at full power.
     """
     if ch.kind == "gaussian-6":
         raise ChannelShapeError("this sum capacity applies to gaussian-13 channels")
-    _require(ch, "corollary-3", force)
-    best = 0.0
-    for q1 in _power_grid(ch.p1, power_steps):
-        for q2 in _power_grid(ch.p2, power_steps):
-            sys = ch.system(q1, q2)
-            val = min(
-                gaussian_mi(sys, ("x2",), ("y2",), ("x1",))
-                + gaussian_mi(sys, ("x1",), ("y1",)),
-                gaussian_mi(sys, ("x1", "x2"), ("y2",)) + ch.d12,
-            )
-            if q1 == ch.p1 and q2 == ch.p2:
-                full = val
-            best = max(best, val)
-    return full if power_steps <= 1 else best
+    _require(ch.kind, ch.gains, "corollary-3", force)
+    sys = ch.system()
+    return min(
+        gaussian_mi(sys, ("x2",), ("y2",), ("x1",))
+        + gaussian_mi(sys, ("x1",), ("y1",)),
+        gaussian_mi(sys, ("x1", "x2"), ("y2",)) + ch.d12,
+    )
 
 
 def capacity_region_one_sided(
@@ -289,10 +241,7 @@ def capacity_region_one_sided(
     """
     if ch.s12 != 0:
         raise ChannelShapeError("one-sided region requires s12 = 0")
-    if not force and ch.s21 < ch.s11 - REGIME_TOL:
-        raise RegimeViolationError(
-            f"one-sided regime needs s21 >= s11 (got {ch.s21} < {ch.s11})"
-        )
+    _require("one-sided", (ch.s11, 0.0, ch.s21, ch.s22), "corollary-4", force)
     return from_constraints([
         RateConstraint(1, 0, psi(ch.s11**2 * ch.p1), "r1"),
         RateConstraint(0, 1, psi(ch.s22**2 * ch.p2), "r2"),

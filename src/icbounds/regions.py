@@ -10,7 +10,7 @@ can supply one, an exact frontier evaluator used by comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class RateConstraint:
     c2: float
     rhs: float
     tag: str = ""
-    alternatives: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.c1 < 0 or self.c2 < 0 or (self.c1 == 0 and self.c2 == 0):
@@ -189,28 +188,6 @@ def _dedupe_collinear(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.nd
     return arr[:, 0], arr[:, 1]
 
 
-def union_frontier(
-    regions: Iterable[RateRegion],
-    samples: int = FRONTIER_SAMPLES,
-    tag: str = "",
-) -> RateRegion:
-    """Pointwise maximum of upper frontiers on a shared r1 grid."""
-    regs = list(regions)
-    if not regs:
-        raise InputError("union of zero regions")
-    r1_max = max(r.r1_max for r in regs)
-    if r1_max <= 0:
-        return point_region(tag)
-    grid = np.linspace(0.0, r1_max, samples)
-    vals = np.max([r.frontier_at(grid) for r in regs], axis=0)
-    vals = np.minimum.accumulate(vals)  # shave float dust off monotonicity
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        return np.max([r.frontier_at(x) for r in regs], axis=0)
-
-    return RateRegion(grid, vals, tag=tag, frontier_fn=fn)
-
-
 def includes(a: RateRegion, b: RateRegion, tol: float = 1e-6) -> bool:
     """True when every frontier sample of b lies inside a, within tol."""
     if b.r1_max > a.r1_max + tol:
@@ -281,24 +258,6 @@ def frontier_csv(region: RateRegion, samples: int = FRONTIER_SAMPLES) -> str:
     lines = ["r1,r2"]
     lines += [f"{x:.9g},{y:.9g}" for x, y in rows]
     return "\n".join(lines) + "\n"
-
-
-def region_to_json_dict(region: RateRegion) -> dict:
-    """JSON-ready vertex-list form: CCW polygon plus the frontier samples."""
-    return {
-        "tag": region.tag,
-        "vertices": [[float(x), float(y)] for x, y in region.vertices],
-        "frontier": [[float(x), float(y)]
-                     for x, y in zip(region.r1, region.r2)],
-    }
-
-
-def region_from_json_dict(doc: dict) -> RateRegion:
-    try:
-        pts = np.asarray(doc["frontier"], dtype=float).reshape(-1, 2)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad region document: {exc}") from exc
-    return RateRegion(pts[:, 0], pts[:, 1], tag=str(doc.get("tag", "")))
 
 
 def from_csv(text: str, tag: str = "") -> RateRegion:

@@ -22,7 +22,7 @@ Per-trial randomness comes from a counter-based generator keyed by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,22 +36,6 @@ _DEDUP_PASSES = 32
 def _count(exponent: float) -> int:
     # tiny epsilon guards against float dust in n*rate products
     return max(1, math.floor(2.0 ** exponent + 1e-9))
-
-
-def partition(m: int, n_rate: float, n_conf: float) -> tuple[int, int]:
-    """Split message index m into (cell index, within-cell index).
-
-    n_rate and n_conf are the exponents n*R and n*R12 in bits; counts are
-    floored.  Inverse: m = cell * per_cell + kappa.
-    """
-    if n_conf > n_rate + 1e-12:
-        raise InputError("conference exponent cannot exceed the rate exponent")
-    total = _count(n_rate)
-    cells = _count(n_conf)
-    per_cell = -(-total // min(cells, total))
-    if not 0 <= m < total:
-        raise IndexError(f"message index {m} outside [0, {total})")
-    return m // per_cell, m % per_cell
 
 
 @dataclass(frozen=True)
@@ -135,7 +119,6 @@ class SimResult:
     cell_count: int
     per_cell: int
     conference_bits_per_use: float
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {

@@ -88,7 +88,7 @@ class FlatUnionOracle:
         blocks = [(al_g, be_g), (al_c, be_g), (al_g, be_c)]
         alphas = np.concatenate([np.repeat(a, b.size) for a, b in blocks])
         betas = np.concatenate([np.tile(b, a.size) for a, b in blocks])
-        rhs, _ = ob._rhs_table(ch, alphas, betas)
+        rhs = ob._rhs_table(ch, alphas, betas)
         flat = [np.broadcast_to(r, alphas.shape).reshape(-1) for r in rhs]
         self.m10 = np.minimum(flat[0], flat[1])
         self.m01 = np.minimum(flat[2], flat[3])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -243,3 +244,154 @@ def test_identical_invocations_identical_output(tmp_path, runner):
         assert res.exit_code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# ------------------------------------------------ inner exit-code matrix
+
+def cascade_doc(kind, s11, s12, s21, s22):
+    return {"type": kind, "s11": s11, "s12": s12, "s21": s21, "s22": s22,
+            "p1": 1.5, "p2": 0.8, "d12": 0.05}
+
+
+def one_sided_discrete_doc(d12=0.4):
+    """y1 = x1 through a binary symmetric channel, y2 = x1 xor x2."""
+    w = np.zeros((2, 2, 2, 2))
+    for x1, x2, y1 in itertools.product(range(2), repeat=3):
+        w[y1, x1 ^ x2, x1, x2] = 0.9 if y1 == x1 else 0.1
+    return {"type": "discrete", "ny1": 2, "ny2": 2, "nx1": 2, "nx2": 2,
+            "w": [float(v) for v in w.reshape(-1)], "d12": d12}
+
+
+# gaussian-6 with (s11, s21) = (2, 1) has threshold 0.75, gaussian-13 with
+# (1, 2) has threshold 0.75; the one-sided gate is s21 >= s11.
+MATRIX_SPECS = {
+    "g6-cor1": cascade_doc("gaussian-6", 2.0, 1.0, 2.0, 0.9),
+    "g6-cor2": cascade_doc("gaussian-6", 3.0, 1.0, 1.0, 1.0),
+    "g6-edge": cascade_doc("gaussian-6", 2.0, 1.0, 1.0, 0.75),
+    "g6-near": cascade_doc("gaussian-6", 2.0, 1.0, 1.0, 0.75 - 5e-10),
+    "g6-s11zero": cascade_doc("gaussian-6", 0.0, 1.0, 1.0, 0.75),
+    "g6-s21zero": cascade_doc("gaussian-6", 1.5, 1.0, 0.0, 0.75),
+    "g13-cor3": cascade_doc("gaussian-13", 1.0, 0.4, 2.0, 1.5),
+    "g13-near": cascade_doc("gaussian-13", 1.0, 0.75 + 5e-10, 2.0, 1.5),
+    "g13-none": cascade_doc("gaussian-13", 2.0, 1.0, 1.0, 1.0),
+    "g13-s11zero": cascade_doc("gaussian-13", 0.0, 0.4, 2.0, 1.5),
+    "g13-s21zero": cascade_doc("gaussian-13", 1.0, 0.4, 0.0, 1.5),
+    "os-cor4": gaussian_doc(s11=1.0, s12=0.0, s21=2.0, s22=1.0, d12=0.1, d21=0.0),
+    "os-near": gaussian_doc(s11=1.0, s12=0.0, s21=1.0 - 5e-10, s22=1.0, d12=0.1,
+                            d21=0.0),
+    "os-none": gaussian_doc(s11=2.0, s12=0.0, s21=1.0, s22=1.0, d12=0.1, d21=0.0),
+    "coupled": gaussian_doc(),
+    "discrete": discrete_doc(d12=0.5),
+    "discrete-os": one_sided_discrete_doc(),
+}
+
+# (spec, theorem) -> (exit code, exit code with --force, sha256 prefix of the
+# printed JSON or the region CSV).  A region theorem that evaluates without
+# --out exits 2 after the evaluation, so a regime violation still exits 4.
+# A zero s11 or s21 leaves the cascade threshold undefined: exit 3, as from
+# classify, unless forced.
+INNER_MATRIX = {
+    ("g6-cor1", "2"): (0, 0, "9ae1a2f3a4cb407c"),
+    ("g6-cor1", "3"): (4, 0, "d51cec33f91fc6a8"),
+    ("g6-cor1", "4"): (2, 2, ""),
+    ("g6-cor1", "5"): (2, 2, ""),
+    ("g6-cor2", "2"): (4, 0, "95cfc852915b779a"),
+    ("g6-cor2", "3"): (0, 0, "943b041f29f8af4f"),
+    ("g6-cor2", "4"): (2, 2, ""),
+    ("g6-cor2", "5"): (2, 2, ""),
+    ("g6-edge", "2"): (0, 0, "5280b760aa17a9a4"),
+    ("g6-edge", "3"): (0, 0, "3479af6e2ee2603a"),
+    ("g6-edge", "4"): (2, 2, ""),
+    ("g6-edge", "5"): (2, 2, ""),
+    ("g6-near", "2"): (0, 0, "5280b760aa17a9a4"),
+    ("g6-near", "3"): (0, 0, "3479af6e2ee2603a"),
+    ("g6-near", "4"): (2, 2, ""),
+    ("g6-near", "5"): (2, 2, ""),
+    ("g6-s11zero", "2"): (3, 0, "8b093c34cccac39a"),
+    ("g6-s11zero", "3"): (3, 0, "984ff80400bdacec"),
+    ("g6-s11zero", "4"): (2, 2, ""),
+    ("g6-s11zero", "5"): (2, 2, ""),
+    ("g6-s21zero", "2"): (3, 0, "b7ecb69fd4febaaa"),
+    ("g6-s21zero", "3"): (3, 0, "e4336a721da45987"),
+    ("g6-s21zero", "4"): (2, 2, ""),
+    ("g6-s21zero", "5"): (2, 2, ""),
+    ("g13-cor3", "2"): (2, 2, ""),
+    ("g13-cor3", "3"): (2, 2, ""),
+    ("g13-cor3", "4"): (0, 0, "743ee50076935655"),
+    ("g13-cor3", "5"): (2, 2, ""),
+    ("g13-near", "2"): (2, 2, ""),
+    ("g13-near", "3"): (2, 2, ""),
+    ("g13-near", "4"): (0, 0, "743ee50076935655"),
+    ("g13-near", "5"): (2, 2, ""),
+    ("g13-none", "2"): (2, 2, ""),
+    ("g13-none", "3"): (2, 2, ""),
+    ("g13-none", "4"): (4, 0, "77213932a3cad36c"),
+    ("g13-none", "5"): (2, 2, ""),
+    ("g13-s11zero", "2"): (2, 2, ""),
+    ("g13-s11zero", "3"): (2, 2, ""),
+    ("g13-s11zero", "4"): (3, 0, "ea010dd2fc153b58"),
+    ("g13-s11zero", "5"): (2, 2, ""),
+    ("g13-s21zero", "2"): (2, 2, ""),
+    ("g13-s21zero", "3"): (2, 2, ""),
+    ("g13-s21zero", "4"): (3, 0, "9e6ad41b217bfbe2"),
+    ("g13-s21zero", "5"): (2, 2, ""),
+    ("os-cor4", "2"): (2, 2, ""),
+    ("os-cor4", "3"): (2, 2, ""),
+    ("os-cor4", "4"): (2, 2, ""),
+    ("os-cor4", "5"): (0, 0, "04c8975a4879d7bd"),
+    ("os-near", "2"): (2, 2, ""),
+    ("os-near", "3"): (2, 2, ""),
+    ("os-near", "4"): (2, 2, ""),
+    ("os-near", "5"): (0, 0, "0117f1dd4c35c00f"),
+    ("os-none", "2"): (2, 2, ""),
+    ("os-none", "3"): (2, 2, ""),
+    ("os-none", "4"): (2, 2, ""),
+    ("os-none", "5"): (4, 0, "e173a0874fa086b7"),
+    ("coupled", "2"): (2, 2, ""),
+    ("coupled", "3"): (2, 2, ""),
+    ("coupled", "4"): (2, 2, ""),
+    ("coupled", "5"): (2, 2, ""),
+    ("discrete", "2"): (0, 0, "d9120cfca2b80cab"),
+    ("discrete", "3"): (2, 2, ""),
+    ("discrete", "4"): (2, 2, ""),
+    ("discrete", "5"): (2, 2, ""),
+    ("discrete-os", "2"): (0, 0, "f773e687d51f985a"),
+    ("discrete-os", "3"): (2, 2, ""),
+    ("discrete-os", "4"): (2, 2, ""),
+    ("discrete-os", "5"): (0, 0, "04492d7cd3d5d515"),
+}
+
+
+def run_inner(runner, tmp_path, spec, theorem, with_out, force):
+    path = write_json(tmp_path / f"{spec}.json", MATRIX_SPECS[spec])
+    out = tmp_path / f"{spec}-{theorem}.out"
+    args = ["inner", "--channel", path, "--theorem", theorem, "--grid", "5"]
+    args += ["--out", str(out)] if with_out else []
+    args += ["--force"] if force else []
+    res = runner.invoke(main, args)
+    written = out.read_bytes() if out.exists() else None
+    return res.exit_code, res.stdout.replace(str(out), "{out}"), written
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["gated", "force"])
+@pytest.mark.parametrize("with_out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("spec, theorem", sorted(INNER_MATRIX))
+def test_inner_exit_code_matrix(tmp_path, runner, spec, theorem, with_out, force):
+    code, forced_code, digest = INNER_MATRIX[spec, theorem]
+    want = forced_code if force else code
+    region = theorem in ("2", "5")
+    if want == 0 and region and not with_out:
+        want = 2
+    got, stdout, written = run_inner(runner, tmp_path, spec, theorem,
+                                     with_out, force)
+    assert got == want, stdout
+    if want != 0:
+        assert stdout == "" and written is None
+        return
+    if region:
+        assert stdout == "wrote {out}\n"
+        body = written
+    else:
+        body = stdout.encode()
+        assert written == (body if with_out else None)
+    assert hashlib.sha256(body).hexdigest()[:16] == digest

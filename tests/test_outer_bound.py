@@ -32,9 +32,6 @@ def test_constraint_shape_and_tags():
     assert len(cs) == 16
     assert [(c.c1, c.c2) for c in cs] == COEFF_PATTERN
     assert [c.tag for c in cs] == [f"c{i:02d}" for i in range(1, 17)]
-    for c in cs[:4]:
-        assert c.alternatives is not None
-        assert min(c.alternatives) == pytest.approx(c.rhs)
 
 
 def test_params_validation():
@@ -235,7 +232,7 @@ def test_evaluator_matches_flat_oracle_random_and_edge(rng):
 def test_rhs_entries_depend_on_one_parameter(rng):
     al, be = np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 5)
     for ch in [random_channel(rng) for _ in range(50)] + EDGE_CHANNELS:
-        rhs, _ = ob._rhs_table(ch, al[:, None], be[None, :])
+        rhs = ob._rhs_table(ch, al[:, None], be[None, :])
         assert len(rhs) == 16
         for r in rhs:
             assert np.shape(r) in ((7, 1), (1, 5))
@@ -245,9 +242,9 @@ def test_evaluator_rejects_mixed_parameter_rhs(monkeypatch):
     table = ob._rhs_table
 
     def mixed(ch, alpha, beta):
-        rhs, alternatives = table(ch, alpha, beta)
+        rhs = table(ch, alpha, beta)
         rhs[6] = rhs[6] + 0.0 * alpha  # now shaped (n_alpha, n_beta)
-        return rhs, alternatives
+        return rhs
 
     monkeypatch.setattr(ob, "_rhs_table", mixed)
     with pytest.raises(RuntimeError, match="c07"):

@@ -23,6 +23,7 @@ from icbounds.errors import (
     RegimeViolationError,
     UndefinedThresholdError,
 )
+from icbounds.regimes import REGIME_TOL
 
 
 def margin_zero_channel(rng):
@@ -203,22 +204,6 @@ def test_capacity_inside_outer_bound(rng):
         assert includes(outer_region(ch, grid_n=11), cap, tol=1e-6)
 
 
-def test_power_sweep_probe():
-    # time sharing with power backoff is exposed but has never been seen
-    # to beat full power on these evaluators; assert only the safe direction
-    ch = effective_form("gaussian-6", 1.3, 0.8, 1.3, 0.6, 2.0, 1.0, 0.4)
-    full = capacity_region_strong(ch)
-    swept = capacity_region_strong(ch, power_steps=4)
-    assert includes(swept, full, tol=1e-9)
-    assert sum_capacity_fwd_own(
-        effective_form("gaussian-6", 1.0, 1.0, 1.0, 0.5, 1, 1, 0.3),
-        force=True, power_steps=4,
-    ) >= sum_capacity_fwd_own(
-        effective_form("gaussian-6", 1.0, 1.0, 1.0, 0.5, 1, 1, 0.3),
-        force=True,
-    ) - 1e-12
-
-
 def test_strong_region_monotone_in_conference():
     regs = []
     for d12 in (0.0, 0.4, 1.0):
@@ -239,3 +224,69 @@ def test_correlated_channel_validation():
     with pytest.raises(RegimeViolationError):
         capacity_region_strong(hand_built)  # no regime metadata
     capacity_region_strong(hand_built, force=True)
+
+
+# evaluator, channel kind it takes, corollary its gate wants
+GATED = [
+    (capacity_region_strong, "gaussian-6", "corollary-1"),
+    (sum_capacity_fwd_own, "gaussian-6", "corollary-2"),
+    (sum_capacity_fwd_interference, "gaussian-13", "corollary-3"),
+    (capacity_region_one_sided, "one-sided", "corollary-4"),
+]
+# distances from the threshold, in and around the gate tolerance
+OFFSETS = (0.0, 1e-10, -1e-10, 0.5 * REGIME_TOL, -0.5 * REGIME_TOL,
+           REGIME_TOL, -REGIME_TOL, 2 * REGIME_TOL, -2 * REGIME_TOL,
+           5e-9, -5e-9, 0.1, -0.1)
+
+
+def gate_channel(rng, kind):
+    """Random channel of ``kind``; mostly near its threshold, sometimes far
+    from it, sometimes with a zero gain that leaves the threshold undefined."""
+    s11, s12, s21, s22 = rng.uniform(-2.5, 2.5, size=4)
+    if rng.uniform() < 0.1:
+        s11, s21 = (0.0, s21) if rng.uniform() < 0.5 else (s11, 0.0)
+    p1, p2, d12 = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0), rng.uniform(0, 1)
+    near = rng.uniform() < 0.8
+    offset = OFFSETS[rng.integers(len(OFFSETS))] if near else rng.uniform(-2, 2)
+    if kind == "one-sided":
+        s21 = s11 + offset if near else s21
+        return GaussianIC(s11, 0.0, s21, s22, p1, p2, d12, 0.0), (s11, 0.0, s21, s22)
+    if s11 and s21:
+        thr = ((s11**2 - s21**2) if kind == "gaussian-6" else (s21**2 - s11**2)) / (
+            2 * s11 * s21)
+        if kind == "gaussian-6":
+            s22 = thr + offset if near else s22
+        else:
+            s12 = thr - offset if near else s12
+    gains = (s11, s12, s21, s22)
+    return effective_form(kind, *gains, p1, p2, d12), gains
+
+
+@pytest.mark.parametrize("evaluate, kind, want", GATED,
+                         ids=[w for _, _, w in GATED])
+def test_gate_follows_classify(rng, evaluate, kind, want):
+    outcomes = set()
+    for _ in range(250):
+        ch, gains = gate_channel(rng, kind)
+        try:
+            report = classify(kind, *gains)
+        except UndefinedThresholdError:
+            with pytest.raises(UndefinedThresholdError):
+                evaluate(ch)
+            evaluate(ch, force=True)
+            outcomes.add("undefined")
+            continue
+        passes = report.label == want or abs(report.margin) <= REGIME_TOL
+        try:
+            evaluate(ch)
+        except RegimeViolationError:
+            assert not passes, (gains, report)
+            outcomes.add("violation")
+            evaluate(ch, force=True)
+        else:
+            assert passes, (gains, report)
+            outcomes.add("tolerated" if report.label != want else "pass")
+    want_outcomes = {"pass", "tolerated", "violation"}
+    if kind != "one-sided":
+        want_outcomes.add("undefined")
+    assert outcomes == want_outcomes

@@ -11,7 +11,6 @@ from icbounds import (
     frontier_csv,
     gap,
     includes,
-    union_frontier,
 )
 from icbounds.errors import InputError, UnboundedRegionError
 
@@ -87,32 +86,6 @@ def test_dominated_constraint_is_ignored():
     assert np.allclose(base.r1, more.r1) and np.allclose(base.r2, more.r2)
 
 
-def test_union_idempotent():
-    reg = tri()
-    u = union_frontier([reg, reg])
-    xs = np.linspace(0, 1, 257)
-    assert np.max(np.abs(u.frontier_at(xs) - reg.frontier_at(xs))) <= 1e-12
-
-
-def test_union_nested():
-    small, big = tri(0.5), tri(1.5)
-    u = union_frontier([small, big])
-    xs = np.linspace(0, 1.5, 301)
-    assert np.allclose(u.frontier_at(xs), big.frontier_at(xs), atol=1e-12)
-
-
-def test_union_overlapping_triangles_matches_membership_oracle(rng):
-    a = from_constraints([RateConstraint(1, 0, 1.0), RateConstraint(0, 1, 0.4),
-                          RateConstraint(1, 1, 1.2)])
-    b = from_constraints([RateConstraint(1, 0, 0.4), RateConstraint(0, 1, 1.0),
-                          RateConstraint(1, 1, 1.2)])
-    u = union_frontier([a, b])
-    pts = rng.uniform(0, 1.3, size=(10_000, 2))
-    for x, y in pts:
-        member = a.contains(x, y) or b.contains(x, y)
-        assert member == u.contains(x, y, tol=1e-7)
-
-
 def test_includes_reflexive_and_scaled():
     reg = tri()
     assert includes(reg, reg, tol=1e-12)
@@ -178,19 +151,6 @@ def test_hull_of_points_contains_inputs(points):
     hull = hull_of_points(np.array(points))
     for x, y in points:
         assert hull.contains(x, y, tol=1e-9)
-
-
-def test_json_vertex_round_trip():
-    from icbounds import region_from_json_dict, region_to_json_dict
-
-    reg = tri(1.5)
-    doc = region_to_json_dict(reg)
-    assert doc["vertices"][0] == [0.0, 0.0]
-    back = region_from_json_dict(doc)
-    xs = np.linspace(0, 1.5, 101)
-    assert np.allclose(back.frontier_at(xs), reg.frontier_at(xs), atol=1e-12)
-    with pytest.raises(InputError):
-        region_from_json_dict({"vertices": []})
 
 
 def test_region_validation():

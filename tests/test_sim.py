@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icbounds import CellPartition, DiscreteIC, SimConfig, partition, simulate
+from icbounds import CellPartition, DiscreteIC, SimConfig, simulate
 from icbounds.errors import InputError, ResourceLimitError
 from icbounds.sim import _Precomp, _run_trial
 
@@ -12,19 +12,18 @@ from conftest import orthogonal_channel, xor_copy_channel
 
 
 def test_partition_degenerate_ends():
-    assert partition(5, 3, 3) == (5, 0)   # every cell a singleton
-    assert partition(5, 3, 0) == (0, 5)   # single cell
+    # exponents n*R = 3 and n*R12 = 3 (every cell a singleton) or 0 (one cell)
+    singletons = CellPartition.for_rate(1, 3.0, 3.0)
+    assert (singletons.cell_of(5), singletons.kappa_of(5)) == (5, 0)
+    one_cell = CellPartition.for_rate(1, 3.0, 0.0)
+    assert (one_cell.cell_of(5), one_cell.kappa_of(5)) == (0, 5)
+    assert list(one_cell.cell_members(0)) == list(range(8))
 
 
 def test_partition_example():
-    assert partition(9, 4, 2) == (2, 1)
-
-
-def test_partition_validation():
-    with pytest.raises(IndexError):
-        partition(16, 4, 2)
-    with pytest.raises(InputError):
-        partition(0, 2, 3)
+    part = CellPartition.for_rate(1, 4.0, 2.0)
+    assert (part.cell_of(9), part.kappa_of(9)) == (2, 1)
+    assert list(part.cell_members(2)) == [8, 9, 10, 11]
 
 
 @given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 2**14 - 1))
@@ -33,11 +32,14 @@ def test_partition_bijection(n_rate, n_conf, m):
     n_conf = min(n_conf, n_rate)
     total = 2**n_rate
     m = m % total
-    cell, kappa = partition(m, n_rate, n_conf)
+    part = CellPartition.for_rate(1, float(n_rate), float(n_conf))
+    cell, kappa = part.cell_of(m), part.kappa_of(m)
     per_cell = 2 ** (n_rate - n_conf)
+    assert part.message_count == total and part.per_cell == per_cell
     assert m == cell * per_cell + kappa
     assert 0 <= kappa < per_cell
     assert 0 <= cell < 2**n_conf
+    assert m in part.cell_members(cell)
 
 
 def test_cell_partition_budget():
