@@ -3,6 +3,16 @@ constraint evaluator, regime-condition checkers and achievable inner regions.
 
 Joint distributions are plain numpy arrays with a tuple of axis labels
 carried alongside.  All information quantities are in bits.
+
+One information kernel, :func:`_mi_stack`, computes every mutual
+information here.  It takes a stack of joint tables with a leading batch
+axis and returns I(a; b | c) per table, computing each marginal entropy
+once over the whole stack with 0 log 0 = 0; :func:`mi` is a validated
+batch-of-one call into it.  The condition searches and the inner regions
+evaluate their whole product-input lattice (and, for condition 7, every
+auxiliary kernel at every probe input) as such stacks, in blocks of at
+most BLOCK_CELLS table cells, so peak memory does not grow with the
+lattice.
 """
 
 from __future__ import annotations
@@ -14,10 +24,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ChannelShapeError, InputError
-from .regions import RateConstraint, RateRegion, from_constraints, hull_of_points
+from .regions import RateConstraint, RateRegion, hull_of_points
 
 NORM_TOL = 1e-12
 DEGRADE_TOL = 1e-9
+# Joint-table cells per kernel call in the lattice searches: a block holds
+# BLOCK_CELLS // (cells of one table) tables, so its arrays take the same
+# memory whatever the alphabets and however large the lattice.
+BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,16 +94,50 @@ class DiscreteIC:
         }
 
 
-def entropy(table: np.ndarray) -> float:
-    p = np.asarray(table, dtype=float).reshape(-1)
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+def _entropy_rows(tables: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each table along the leading axis; 0 log 0 = 0.
+
+    Each row sums only its positive terms, in table order, as numpy sums a
+    table's positive cells on their own: a row's value is the same float
+    whatever the other rows of the stack and wherever its zero cells lie."""
+    p = tables.reshape(tables.shape[0], -1)
+    pos = p > 0
+    q = np.where(pos, p, 1.0)
+    terms = q * np.log2(q)
+    count = pos.sum(axis=1)
+    if np.all(count == p.shape[1]):
+        return -terms.sum(axis=1)
+    terms = np.take_along_axis(terms, np.argsort(~pos, axis=1, kind="stable"), axis=1)
+    out = np.empty(p.shape[0])
+    for k in np.unique(count):
+        rows = count == k
+        out[rows] = terms[rows, :k].sum(axis=1)
+    return -out
 
 
-def _marginal(table: np.ndarray, axes: Sequence[str], keep: Iterable[str]) -> np.ndarray:
-    keep = set(keep)
-    drop = tuple(i for i, name in enumerate(axes) if name not in keep)
-    return table.sum(axis=drop) if drop else table
+def _mi_stack(stack: np.ndarray, axes: Sequence[str], terms) -> np.ndarray:
+    """I(a; b | c) for every table of a stack, for each (a, b, c) in terms.
+
+    ``stack`` has a leading batch axis followed by the axes named in
+    ``axes``; the result has shape (len(terms), batch).  Each marginal
+    entropy the terms need is computed once over the whole stack.
+    """
+    cache: dict[frozenset, np.ndarray] = {}
+
+    def h(names: frozenset) -> np.ndarray:
+        if names not in cache:
+            drop = tuple(1 + i for i, n in enumerate(axes) if n not in names)
+            cache[names] = _entropy_rows(stack.sum(axis=drop) if drop else stack)
+        return cache[names]
+
+    out = np.empty((len(terms), stack.shape[0]))
+    for k, (a, b, c) in enumerate(terms):
+        a, b, c = frozenset(a), frozenset(b), frozenset(c)
+        val = h(a | c) + h(b | c) - h(a | b | c)
+        if c:
+            val = val - h(c)
+        out[k] = np.maximum(val, 0.0)
+    return out
 
 
 def mi(
@@ -105,17 +153,32 @@ def mi(
         raise InputError("axis labels do not match table dimensions")
     if abs(float(table.sum()) - 1.0) > 1e-9 or np.any(table < -NORM_TOL):
         raise InputError("joint table must be a normalized PMF")
-    a, b, c = set(a), set(b), set(cond)
-    if (a & b) or (a & c) or (b & c):
+    a, b, c = tuple(a), tuple(b), tuple(cond)
+    sa, sb, sc = set(a), set(b), set(c)
+    if (sa & sb) or (sa & sc) or (sb & sc):
         raise InputError("variable groups must be disjoint")
-    for name in a | b | c:
+    for name in sa | sb | sc:
         if name not in axes:
             raise InputError(f"unknown axis {name!r}")
-    h_ac = entropy(_marginal(table, axes, a | c))
-    h_bc = entropy(_marginal(table, axes, b | c))
-    h_abc = entropy(_marginal(table, axes, a | b | c))
-    h_c = entropy(_marginal(table, axes, c)) if c else 0.0
-    return max(h_ac + h_bc - h_abc - h_c, 0.0)
+    return float(_mi_stack(table[None], tuple(axes), [(a, b, c)])[0, 0])
+
+
+def _by_blocks(rows: int, cells: int, fn) -> np.ndarray:
+    """``fn(idx)`` over consecutive blocks of row indices, joined along the
+    last axis; each row stands for one joint table of ``cells`` cells."""
+    step = max(1, BLOCK_CELLS // cells)
+    return np.concatenate([fn(np.arange(lo, min(lo + step, rows)))
+                           for lo in range(0, rows, step)], axis=-1)
+
+
+AXES4 = ("x1", "x2", "y1", "y2")
+
+
+def _product_joints(ch: DiscreteIC, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Stack of joints over AXES4 at the product inputs p1[n] x p2[n]."""
+    joints = p2[:, None, :, None, None] * ch.w.transpose(2, 3, 0, 1)
+    joints *= p1[:, :, None, None, None]
+    return joints
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,32 +327,33 @@ def simplex_grid(dim: int, resolution: int) -> np.ndarray:
     return np.array(pts)
 
 
-def _pair_mi_gap(ch: DiscreteIC, p1: np.ndarray, p2: np.ndarray) -> float:
-    """I(x1;y2|x2) - I(x1;y1|x2) at independent inputs."""
-    joint = np.einsum("a,b,cdab->abcd", p1, p2, ch.w, optimize=True)
-    axes = ("x1", "x2", "y1", "y2")
-    return (mi(joint, axes, ("x1",), ("y2",), ("x2",))
-            - mi(joint, axes, ("x1",), ("y1",), ("x2",)))
+def _gap_argmin(ch: DiscreteIC, set1: np.ndarray, set2: np.ndarray):
+    """Smallest I(x1;y2|x2) - I(x1;y1|x2) over the independent inputs
+    set1 x set2, set1-major; the first minimum wins."""
+    p1 = np.repeat(set1, len(set2), axis=0)
+    p2 = np.tile(set2, (len(set1), 1))
+
+    def block(idx):
+        m = _mi_stack(_product_joints(ch, p1[idx], p2[idx]), AXES4,
+                      [(("x1",), ("y2",), ("x2",)), (("x1",), ("y1",), ("x2",))])
+        return m[0] - m[1]
+
+    gaps = _by_blocks(len(p1), ch.w.size, block)
+    i = int(np.argmin(gaps))
+    return float(gaps[i]), p1[i], p2[i]
 
 
 def _input_gap_search(ch: DiscreteIC, grid: int, refine: int = 2):
     """Minimize the cross-vs-direct gap over a product-input lattice."""
     lat1 = simplex_grid(ch.nx1, grid)
     lat2 = simplex_grid(ch.nx2, grid)
-    best = (np.inf, None, None)
-    for p1 in lat1:
-        for p2 in lat2:
-            g = _pair_mi_gap(ch, p1, p2)
-            if g < best[0]:
-                best = (g, p1, p2)
+    best = _gap_argmin(ch, lat1, lat2)
     # local refinement: shrink a simplex patch around the incumbent
     for _ in range(refine):
-        g0, p1c, p2c = best
-        for p1 in _shrink_patch(p1c, lat1):
-            for p2 in _shrink_patch(p2c, lat2):
-                g = _pair_mi_gap(ch, p1, p2)
-                if g < best[0]:
-                    best = (g, p1, p2)
+        cand = _gap_argmin(ch, _shrink_patch(best[1], lat1),
+                           _shrink_patch(best[2], lat2))
+        if cand[0] < best[0]:
+            best = cand
     return best
 
 
@@ -333,8 +397,8 @@ def one_sided_factorization(ch: DiscreteIC, tol: float = DEGRADE_TOL) -> bool:
 
 
 def _sample_v_kernels(ch: DiscreteIC, aux_card: int, samples: int,
-                      rng: np.random.Generator):
-    """Structured plus Dirichlet-random P(v | x1, x2) kernels."""
+                      rng: np.random.Generator) -> np.ndarray:
+    """Structured plus Dirichlet-random P(v | x1, x2) kernels, stacked."""
     nx1, nx2 = ch.nx1, ch.nx2
     kernels = []
     if aux_card >= nx1:  # v = x1
@@ -357,16 +421,20 @@ def _sample_v_kernels(ch: DiscreteIC, aux_card: int, samples: int,
     k[:, :, 0] = 1.0
     kernels.append(k)  # degenerate v
     draws = rng.gamma(1.0, size=(samples, nx1, nx2, aux_card))
-    kernels.extend(draws / draws.sum(axis=-1, keepdims=True))
-    return kernels
+    return np.concatenate([np.stack(kernels),
+                           draws / draws.sum(axis=-1, keepdims=True)])
 
 
-def _aux_gap(ch: DiscreteIC, p1, p2, kernel) -> float:
-    """I(v;y1|x2) - I(v;y2|x2) at independent inputs and P(v|x1,x2)."""
-    joint = np.einsum("a,b,abv,cdab->vabcd", p1, p2, kernel, ch.w, optimize=True)
-    axes = ("v", "x1", "x2", "y1", "y2")
-    return (mi(joint, axes, ("v",), ("y1",), ("x2",))
-            - mi(joint, axes, ("v",), ("y2",), ("x2",)))
+def _aux_gaps(ch: DiscreteIC, p1: np.ndarray, p2: np.ndarray,
+              kernels: np.ndarray) -> np.ndarray:
+    """I(v;y1|x2) - I(v;y2|x2) at independent inputs p1[n], p2[n] and
+    P(v|x1,x2) = kernels[n]; joints over (v, x1, x2, y1, y2)."""
+    joints = kernels.transpose(0, 3, 1, 2)[..., None, None] * ch.w.transpose(2, 3, 0, 1)
+    joints *= p2[:, None, None, :, None, None]
+    joints *= p1[:, None, :, None, None, None]
+    m = _mi_stack(joints, ("v", "x1", "x2", "y1", "y2"),
+                  [(("v",), ("y1",), ("x2",)), (("v",), ("y2",), ("x2",))])
+    return m[0] - m[1]
 
 
 def check_condition(
@@ -405,30 +473,36 @@ def check_condition(
         else:
             markov = True  # factorization already enforced
         wit = {"p1": p1.tolist(), "p2": p2.tolist()}
-        return ConditionReport(worst >= -1e-9, float(worst), markov, wit)
+        return ConditionReport(worst >= -1e-9, worst, markov, wit)
     if which == 7:
-        aux_card = aux_card or ch.nx1 * ch.nx2
+        if aux_card is None:
+            aux_card = ch.nx1 * ch.nx2
         if aux_card < 1:
             raise InputError("aux_card must be positive")
+        if samples < 0:
+            raise InputError("samples must be nonnegative")
         rng = np.random.default_rng(seed)
         lat1 = simplex_grid(ch.nx1, max(3, grid // 4))
         lat2 = simplex_grid(ch.nx2, max(3, grid // 4))
-        probes = [(p1, p2) for p1 in lat1 for p2 in lat2]
         # include the worst product input found by the condition-4 search
-        g4, p1w, p2w = _input_gap_search(ch, grid, refine=1)
-        probes.append((p1w, p2w))
-        best = (np.inf, None)
-        for kernel in _sample_v_kernels(ch, aux_card, samples, rng):
-            for p1, p2 in probes:
-                g = _aux_gap(ch, p1, p2, kernel)
-                if g < best[0]:
-                    best = (g, (p1, p2, kernel))
-        worst, w = best
-        p1, p2, kernel = w
+        _, p1w, p2w = _input_gap_search(ch, grid, refine=1)
+        probe1 = np.vstack([np.repeat(lat1, len(lat2), axis=0), p1w])
+        probe2 = np.vstack([np.tile(lat2, (len(lat1), 1)), p2w])
+        kernels = _sample_v_kernels(ch, aux_card, samples, rng)
+        n = len(probe1)  # rows run kernel-major: row = kernel * n + probe
+
+        def block(idx):
+            k, j = np.divmod(idx, n)
+            return _aux_gaps(ch, probe1[j], probe2[j], kernels[k])
+
+        gaps = _by_blocks(len(kernels) * n, aux_card * ch.w.size, block)
+        i = int(np.argmin(gaps))
+        worst = float(gaps[i])
+        k, j = divmod(i, n)
         markov = _degraded_given(ch, "y2")
-        wit = {"p1": p1.tolist(), "p2": p2.tolist(),
-               "v_kernel": kernel.tolist()}
-        return ConditionReport(worst >= -1e-9, float(worst), markov, wit)
+        wit = {"p1": probe1[j].tolist(), "p2": probe2[j].tolist(),
+               "v_kernel": kernels[k].tolist()}
+        return ConditionReport(worst >= -1e-9, worst, markov, wit)
     raise InputError(f"unknown condition id {which}; expected 4, 7, 11 or 14")
 
 
@@ -436,39 +510,69 @@ def check_condition(
 # achievable inner regions
 
 
-def _product_input_polytope(ch: DiscreteIC, p1, p2, d12: float,
-                            one_sided: bool) -> RateRegion:
-    joint = np.einsum("a,b,cdab->abcd", p1, p2, ch.w, optimize=True)
-    axes = ("x1", "x2", "y1", "y2")
-
-    def f(a, b, c=()):
-        return mi(joint, axes, a, b, c)
-
-    if one_sided:
-        r1 = f(("x1",), ("y1",))
-        r2 = f(("x2",), ("y2",), ("x1",))
-        s = f(("x1", "x2"), ("y2",)) + d12
-    else:
-        r1 = f(("x1",), ("y1",), ("x2",))
-        r2 = min(f(("x2",), ("y2",), ("x1",)) + d12, f(("x2",), ("y1",), ("x1",)))
-        s = min(f(("x1", "x2"), ("y2",)) + d12, f(("x1", "x2"), ("y1",)))
-    return from_constraints([
-        RateConstraint(1, 0, r1, "r1"),
-        RateConstraint(0, 1, r2, "r2"),
-        RateConstraint(1, 1, s, "sum"),
-    ])
-
-
 def _inner_region(ch: DiscreteIC, d12: float, grid: int,
                   one_sided: bool, tag: str) -> RateRegion:
+    """Convex hull of the union over a product-input lattice of the
+    pentagons R1 <= r1, R2 <= r2, R1 + R2 <= s.
+
+    Each pentagon enters the hull through its frontier vertices, computed
+    in closed form with the arithmetic of ``regions.from_constraints``.
+    """
     if grid < 2:
         raise InputError("grid must be at least 2")
-    pts = []
-    for p1 in simplex_grid(ch.nx1, grid):
-        for p2 in simplex_grid(ch.nx2, grid):
-            reg = _product_input_polytope(ch, p1, p2, d12, one_sided)
-            pts.extend(zip(reg.r1, reg.r2))
-    return hull_of_points(np.array(pts), tag=tag)
+    lat1 = simplex_grid(ch.nx1, grid)
+    lat2 = simplex_grid(ch.nx2, grid)
+    p1 = np.repeat(lat1, len(lat2), axis=0)
+    p2 = np.tile(lat2, (len(lat1), 1))
+    if one_sided:
+        terms = [(("x1",), ("y1",), ()), (("x2",), ("y2",), ("x1",)),
+                 (("x1", "x2"), ("y2",), ())]
+    else:
+        terms = [(("x1",), ("y1",), ("x2",)), (("x2",), ("y2",), ("x1",)),
+                 (("x2",), ("y1",), ("x1",)), (("x1", "x2"), ("y2",), ()),
+                 (("x1", "x2"), ("y1",), ())]
+    m = _by_blocks(len(p1), ch.w.size, lambda idx: _mi_stack(
+        _product_joints(ch, p1[idx], p2[idx]), AXES4, terms))
+    if one_sided:
+        r1, r2, s = m[0], m[1], m[2] + d12
+    else:
+        r1 = m[0]
+        r2 = np.minimum(m[1] + d12, m[2])
+        s = np.minimum(m[3] + d12, m[4])
+    return hull_of_points(_pentagon_vertices(r1, r2, s), tag=tag)
+
+
+def _pentagon_vertices(r1: np.ndarray, r2: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Frontier vertices of each pentagon R1 <= r1, R2 <= r2, R1 + R2 <= s,
+    as ``regions.from_constraints`` lists them for that constraint set:
+    (0, min(r2, s)), the corner (s - r2, r2) when the sum constraint cuts
+    the R2 edge, and (min(r1, s), .), with its near-duplicate and collinear
+    points dropped by the same tests."""
+    for name, v in (("r1", r1), ("r2", r2), ("sum", s)):
+        bad = ~np.isfinite(v) | (v < -1e-12)
+        if bad.any():
+            raise InputError(f"constraint {name!r} has rhs {v[bad][0]}")
+    x_end = np.maximum(np.minimum(r1, s), 0.0)
+    r2, s = np.maximum(r2, 0.0), np.maximum(s, 0.0)
+    y0 = np.minimum(r2, s)
+    xa = s - r2
+    ya = np.minimum(r2, s - xa)
+    y_end = np.minimum(r2, s - x_end)
+    x0 = np.zeros_like(y0)
+
+    def apart(x, y, xp, yp):
+        return ~((np.abs(x - xp) < 1e-12) & (np.abs(y - yp) < 1e-12))
+
+    keep_a = (0.0 < xa) & (xa < x_end) & apart(xa, ya, x0, y0)
+    keep_end = (x_end != 0.0) & np.where(keep_a, apart(x_end, y_end, xa, ya),
+                                         apart(x_end, y_end, x0, y0))
+    cross = (xa - x0) * (y_end - y0) - (ya - y0) * (x_end - x0)
+    scale = np.maximum(1.0, np.maximum(np.abs(x_end - x0), np.abs(y_end - y0)))
+    keep_a &= ~keep_end | (np.abs(cross) > 1e-10 * scale)
+    pts = [np.column_stack([x0, y0]),
+           np.column_stack([xa, ya])[keep_a],
+           np.column_stack([x_end, y_end])[keep_end]]
+    return np.maximum(np.concatenate(pts), 0.0)
 
 
 def inner_region_strong(ch: DiscreteIC, d12: float, grid: int = 21) -> RateRegion:

@@ -134,14 +134,21 @@ def classify(kind: str, s11: float, s12: float, s21: float, s22: float) -> Regim
             raise UndefinedThresholdError(
                 "regime threshold needs nonzero s11 and s21"
             )
+        try:
+            if kind == "gaussian-6":
+                thr = (s11**2 - s21**2) / (2 * s11 * s21)
+            else:
+                thr = (s21**2 - s11**2) / (2 * s11 * s21)
+        except (OverflowError, ZeroDivisionError):
+            raise UndefinedThresholdError(
+                "regime threshold overflows or divides by zero in floating point"
+            ) from None
     if kind == "gaussian-6":
-        thr = (s11**2 - s21**2) / (2 * s11 * s21)
         if s22 >= thr:
             return RegimeReport("corollary-1", thr, s22 - thr,
                                 boundary=abs(s22 - thr) == 0.0)
         return RegimeReport("corollary-2", thr, thr - s22)
     if kind == "gaussian-13":
-        thr = (s21**2 - s11**2) / (2 * s11 * s21)
         margin = thr - s12
         label = "corollary-3" if margin >= 0 else "none"
         return RegimeReport(label, thr, margin, boundary=margin == 0.0)

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths: discrete
 information quantities are accumulated over explicit outcome tuples,
-geometry checks go through brute-force membership sampling, and the union
-outer bound is maximized cell by cell over the flattened parameter set.
+geometry checks go through brute-force membership sampling, the union
+outer bound is maximized cell by cell over the flattened parameter set, and
+the discrete lattice searches run one lattice point at a time.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from icbounds import DiscreteIC, GaussianIC
+from icbounds import DiscreteIC, GaussianIC, mi
+from icbounds import discrete as dsc
 from icbounds import outer_bound as ob
+from icbounds.regions import RateConstraint, from_constraints, hull_of_points
 
 
 def brute_entropy(joint: np.ndarray, axes: tuple, names: tuple) -> float:
@@ -113,6 +116,107 @@ class FlatUnionOracle:
 
     def max_sum(self) -> float:
         return ob._cell_max_sum(self.m10, self.m01, self.m11, self.m21, self.m12)
+
+
+class PointwiseSearchOracle:
+    """The discrete condition searches and inner regions, one point at a time.
+
+    Each product input (and, for condition 7, each auxiliary kernel at each
+    probe input) gets its own einsum joint and one ``mi`` call per
+    information term; a strict ``<`` keeps the first minimum in loop order.
+    Each inner-region input gets a ``from_constraints`` pentagon, and the
+    vertices of all of them go through one ``hull_of_points``.  The library
+    evaluates the same lattices as stacks of joints in row blocks.
+    """
+
+    AXES = ("x1", "x2", "y1", "y2")
+
+    def __init__(self, ch: DiscreteIC):
+        self.ch = ch
+
+    def _joint(self, p1, p2):
+        return np.einsum("a,b,cdab->abcd", p1, p2, self.ch.w, optimize=True)
+
+    def pair_gap(self, p1, p2) -> float:
+        """I(x1;y2|x2) - I(x1;y1|x2) at independent inputs."""
+        j = self._joint(p1, p2)
+        return (mi(j, self.AXES, ("x1",), ("y2",), ("x2",))
+                - mi(j, self.AXES, ("x1",), ("y1",), ("x2",)))
+
+    def gap_search(self, grid: int, refine: int = 2):
+        """(worst gap, p1, p2) of the condition-4/11/14 search."""
+        lat1 = dsc.simplex_grid(self.ch.nx1, grid)
+        lat2 = dsc.simplex_grid(self.ch.nx2, grid)
+        best = (np.inf, None, None)
+        for p1 in lat1:
+            for p2 in lat2:
+                g = self.pair_gap(p1, p2)
+                if g < best[0]:
+                    best = (g, p1, p2)
+        for _ in range(refine):
+            _, p1c, p2c = best
+            for p1 in dsc._shrink_patch(p1c, lat1):
+                for p2 in dsc._shrink_patch(p2c, lat2):
+                    g = self.pair_gap(p1, p2)
+                    if g < best[0]:
+                        best = (g, p1, p2)
+        return best
+
+    def aux_gap(self, p1, p2, kernel) -> float:
+        """I(v;y1|x2) - I(v;y2|x2) at independent inputs and P(v|x1,x2)."""
+        j = np.einsum("a,b,abv,cdab->vabcd", p1, p2, kernel, self.ch.w,
+                      optimize=True)
+        axes = ("v",) + self.AXES
+        return (mi(j, axes, ("v",), ("y1",), ("x2",))
+                - mi(j, axes, ("v",), ("y2",), ("x2",)))
+
+    def condition7(self, grid: int, aux_card: int | None = None,
+                   samples: int = 2000, seed: int = 0):
+        """(worst gap, p1, p2, kernel) of the condition-7 search, kernels
+        outer and probes inner, with the library's kernel draws."""
+        ch = self.ch
+        rng = np.random.default_rng(seed)
+        lat1 = dsc.simplex_grid(ch.nx1, max(3, grid // 4))
+        lat2 = dsc.simplex_grid(ch.nx2, max(3, grid // 4))
+        probes = [(p1, p2) for p1 in lat1 for p2 in lat2]
+        _, p1w, p2w = self.gap_search(grid, refine=1)
+        probes.append((p1w, p2w))
+        kernels = dsc._sample_v_kernels(ch, aux_card or ch.nx1 * ch.nx2,
+                                        samples, rng)
+        best = (np.inf, None, None, None)
+        for kernel in kernels:
+            for p1, p2 in probes:
+                g = self.aux_gap(p1, p2, kernel)
+                if g < best[0]:
+                    best = (g, p1, p2, kernel)
+        return best
+
+    def inner_region(self, d12: float, grid: int, one_sided: bool):
+        pts = []
+        for p1 in dsc.simplex_grid(self.ch.nx1, grid):
+            for p2 in dsc.simplex_grid(self.ch.nx2, grid):
+                reg = from_constraints(self.pentagon(p1, p2, d12, one_sided))
+                pts.extend(zip(reg.r1, reg.r2))
+        tag = "inner-one-sided" if one_sided else "inner-strong"
+        return hull_of_points(np.array(pts), tag=tag)
+
+    def pentagon(self, p1, p2, d12: float, one_sided: bool) -> list:
+        j = self._joint(p1, p2)
+
+        def f(a, b, c=()):
+            return mi(j, self.AXES, a, b, c)
+
+        if one_sided:
+            r1 = f(("x1",), ("y1",))
+            r2 = f(("x2",), ("y2",), ("x1",))
+            s = f(("x1", "x2"), ("y2",)) + d12
+        else:
+            r1 = f(("x1",), ("y1",), ("x2",))
+            r2 = min(f(("x2",), ("y2",), ("x1",)) + d12,
+                     f(("x2",), ("y1",), ("x1",)))
+            s = min(f(("x1", "x2"), ("y2",)) + d12, f(("x1", "x2"), ("y1",)))
+        return [RateConstraint(1, 0, r1, "r1"), RateConstraint(0, 1, r2, "r2"),
+                RateConstraint(1, 1, s, "sum")]
 
 
 def random_discrete(rng: np.random.Generator, shape=(2, 2, 2, 2)) -> DiscreteIC:

@@ -146,6 +146,33 @@ def test_classify_undefined_threshold(tmp_path, runner):
     assert runner.invoke(main, ["classify", "--channel", spec]).exit_code == 3
 
 
+# Gains whose threshold arithmetic overflows (1e200**2) or divides by an
+# underflowed 2*s11*s21 (1e-200): undefined threshold, exit 3, as for a zero
+# gain.  --force skips the gate; the forced evaluation at 1e200 then fails
+# its own covariance check (exit 2) and at 1e-200 succeeds.
+@pytest.mark.parametrize("gain, forced_code", [(1e200, 2), (1e-200, 0)],
+                         ids=["overflow", "underflow"])
+@pytest.mark.parametrize("kind, theorems", [("gaussian-6", ("2", "3")),
+                                            ("gaussian-13", ("4",))])
+def test_threshold_outside_float_range(tmp_path, runner, gain, forced_code,
+                                       kind, theorems):
+    spec = write_json(tmp_path / "c.json", {
+        "type": kind, "s11": gain, "s12": 0.4, "s21": gain, "s22": 0.5,
+        "p1": 1.0, "p2": 1.0, "d12": 0.1})
+    res = runner.invoke(main, ["classify", "--channel", spec])
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    for theorem in theorems:
+        args = ["inner", "--channel", spec, "--theorem", theorem,
+                "--out", str(tmp_path / "r.out")]
+        gated = runner.invoke(main, args)
+        assert gated.exit_code == 3, gated.output
+        assert isinstance(gated.exception, SystemExit)
+        forced = runner.invoke(main, args + ["--force"])
+        assert forced.exit_code == forced_code, forced.output
+        assert forced.exception is None or isinstance(forced.exception, SystemExit)
+
+
 def test_inner_theorem5_shape_gate(tmp_path, runner):
     spec = write_json(tmp_path / "ch.json", gaussian_doc(s12=0.5))
     res = runner.invoke(main, ["inner", "--channel", spec, "--theorem", "5",
@@ -208,6 +235,29 @@ def test_check_condition_fails_on_constant_output(tmp_path, runner):
     doc = json.loads(res.output)
     assert doc["holds_on_searched_family"] is False
     assert doc["worst_gap"] <= -0.99
+
+
+@pytest.mark.parametrize("extra", [["--aux-card", "0"], ["--aux-card", "-1"],
+                                   ["--samples", "-1"]],
+                         ids=["aux-card-0", "aux-card-neg", "samples-neg"])
+def test_check_condition7_rejects_bad_counts(tmp_path, runner, extra):
+    spec = write_json(tmp_path / "d.json", discrete_doc())
+    res = runner.invoke(main, ["check", "--channel", spec, "--condition", "7",
+                               "--grid", "5", "--samples", "20"] + extra)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "error:" in res.output
+
+
+def test_check_condition7_zero_samples_runs(tmp_path, runner):
+    # no random kernels: only v = x1, v = x2, v = (x1, x2) and a constant v
+    spec = write_json(tmp_path / "d.json", discrete_doc())
+    res = runner.invoke(main, ["check", "--channel", spec, "--condition", "7",
+                               "--grid", "5", "--samples", "0"])
+    assert res.exit_code == 0, res.output
+    kernel = np.asarray(json.loads(res.output)["witnesses"]["v_kernel"])
+    assert kernel.shape == (2, 2, 4)
+    assert set(np.unique(kernel)) <= {0.0, 1.0}
 
 
 def test_simulate_outputs_json(tmp_path, runner):

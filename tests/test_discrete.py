@@ -12,10 +12,18 @@ from icbounds import (
     mi,
     outer_constraints,
 )
-from icbounds.discrete import one_sided_factorization, simplex_grid
+from icbounds import discrete as dsc
+from icbounds.discrete import (
+    _mi_stack,
+    _pentagon_vertices,
+    one_sided_factorization,
+    simplex_grid,
+)
 from icbounds.errors import ChannelShapeError, InputError
+from icbounds.regions import RateConstraint, from_constraints, frontier_csv
 
 from conftest import (
+    PointwiseSearchOracle,
     brute_mi,
     constant_output_channel,
     h2,
@@ -333,3 +341,190 @@ def test_aux_dist_validation():
     with pytest.raises(InputError):
         AuxJointDist(np.array([0.5, 0.6]), np.full((2, 2), 0.5),
                      np.full((2, 2), 0.5), np.ones((2, 2, 2, 1, 1)))
+
+
+# ------------------------------------------- batched kernel vs pointwise oracle
+
+def copy_channel() -> DiscreteIC:
+    w = np.zeros((2, 2, 2, 2))
+    for x1, x2 in itertools.product(range(2), repeat=2):
+        w[x1, x1, x1, x2] = 1.0  # y1 = y2 = x1
+    return DiscreteIC(w)
+
+
+def constant_channel(k: int) -> DiscreteIC:
+    w = np.zeros((2, 2, k, k))
+    w[0, 0] = 1.0
+    return DiscreteIC(w)
+
+
+def zero_entry_channel(rng, shape) -> DiscreteIC:
+    w = rng.gamma(1.0, size=shape)
+    w[rng.random(shape) < 0.4] = 0.0
+    w[0, 0] += 1e-3  # every input keeps some mass
+    return DiscreteIC(w / w.sum(axis=(0, 1), keepdims=True))
+
+
+def one_sided_channel(rng, k: int) -> DiscreteIC:
+    a = rng.gamma(1.0, size=(k, k))
+    a /= a.sum(axis=0, keepdims=True)
+    b = rng.gamma(1.0, size=(k, k, k))
+    b /= b.sum(axis=0, keepdims=True)
+    w = np.einsum("ca,dab->cdab", a, b)
+    return DiscreteIC(w / w.sum(axis=(0, 1), keepdims=True))
+
+
+def search_channels():
+    rng = np.random.default_rng(5150)
+    chans = [(f"random-bin-{i}", random_discrete(rng), 21) for i in range(3)]
+    chans += [(f"random-tern-{i}", random_discrete(rng, (3, 3, 3, 3)), 7)
+              for i in range(2)]
+    chans += [
+        ("random-2x3", random_discrete(rng, (3, 2, 2, 3)), 9),
+        ("copy", copy_channel(), 21),
+        ("constant", constant_output_channel(), 21),
+        ("xor-copy", xor_copy_channel(), 21),
+        ("zero-entries-bin", zero_entry_channel(rng, (2, 2, 2, 2)), 21),
+        ("zero-entries-tern", zero_entry_channel(rng, (3, 3, 3, 3)), 7),
+        ("one-sided-bin", one_sided_channel(rng, 2), 21),
+        ("one-sided-tern", one_sided_channel(rng, 3), 7),
+    ]
+    return chans
+
+
+SEARCH_CHANNELS = search_channels()
+
+
+@pytest.mark.parametrize("name, ch, grid", SEARCH_CHANNELS,
+                         ids=[c[0] for c in SEARCH_CHANNELS])
+def test_gap_search_matches_pointwise_oracle(name, ch, grid):
+    want_gap, want_p1, want_p2 = PointwiseSearchOracle(ch).gap_search(grid)
+    for which in (4, 11, 14) if one_sided_factorization(ch) else (4, 11):
+        rep = check_condition(ch, which, grid=grid)
+        assert rep.witnesses == {"p1": want_p1.tolist(), "p2": want_p2.tolist()}
+        assert abs(rep.worst_gap - want_gap) <= 1e-12
+        assert rep.holds_on_searched_family == (want_gap >= -1e-9)
+
+
+@pytest.mark.parametrize("name, ch, grid", SEARCH_CHANNELS,
+                         ids=[c[0] for c in SEARCH_CHANNELS])
+def test_condition7_matches_pointwise_oracle(name, ch, grid):
+    samples = 60 if ch.nx1 * ch.nx2 <= 4 else 15
+    g, p1, p2, kernel = PointwiseSearchOracle(ch).condition7(
+        grid, samples=samples, seed=3)
+    rep = check_condition(ch, 7, grid=grid, samples=samples, seed=3)
+    assert rep.witnesses == {"p1": p1.tolist(), "p2": p2.tolist(),
+                             "v_kernel": kernel.tolist()}
+    assert abs(rep.worst_gap - g) <= 1e-12
+
+
+@pytest.mark.parametrize("name, ch, grid", SEARCH_CHANNELS,
+                         ids=[c[0] for c in SEARCH_CHANNELS])
+def test_inner_csv_matches_pointwise_oracle(name, ch, grid):
+    oracle = PointwiseSearchOracle(ch)
+    for d12 in (0.0, 0.4):
+        got = inner_region_strong(ch, d12, grid=grid)
+        want = oracle.inner_region(d12, grid, one_sided=False)
+        assert frontier_csv(got) == frontier_csv(want)
+        assert np.array_equal(got.r1, want.r1) and np.array_equal(got.r2, want.r2)
+        if one_sided_factorization(ch):
+            got = inner_region_one_sided(ch, d12, grid=grid)
+            want = oracle.inner_region(d12, grid, one_sided=True)
+            assert frontier_csv(got) == frontier_csv(want)
+
+
+def test_pentagon_vertices_match_from_constraints(rng):
+    rows = [rng.uniform(0.0, 2.0, size=3) for _ in range(300)]
+    rows += [
+        (1.0, 0.5, 0.5), (1.0, 0.5, 0.4), (0.0, 0.5, 0.7), (0.3, 0.0, 0.2),
+        (0.0, 0.0, 0.0), (1.0, 0.5, 0.5 + 5e-13), (1.0, 0.5, 1.5 - 5e-13),
+        (1.0, 0.5, 1.5), (1.0, 0.5, 1.5 + 1e-11), (1.0, 0.5, 1.5 - 1e-11),
+        (1e-13, 0.5, 0.5 + 5e-14), (2.0, 1e-13, 1.0), (0.7, 0.7, 2.0),
+        (1.0, 0.5, -5e-13), (1.0, -5e-13, 0.2), (4.0, 3.0, 3.0 + 2e-12),
+    ]
+    for r1, r2, s in rows:
+        reg = from_constraints([RateConstraint(1, 0, r1), RateConstraint(0, 1, r2),
+                                RateConstraint(1, 1, s)])
+        got = _pentagon_vertices(np.array([r1]), np.array([r2]), np.array([s]))
+        assert [tuple(p) for p in got.tolist()] == list(zip(reg.r1.tolist(),
+                                                            reg.r2.tolist()))
+    for bad in ((np.inf, 0.5, 1.0), (1.0, -1e-9, 1.0), (1.0, 0.5, np.nan)):
+        with pytest.raises(InputError):
+            _pentagon_vertices(*(np.array([v]) for v in bad))
+
+
+def test_tied_gaps_across_row_blocks_keep_first_pair():
+    # every gap of a constant-output channel is exactly 0, so the first
+    # lattice pair must win in the lattice, in each refinement and in the
+    # condition-7 kernel-major order, over many row blocks
+    ch = constant_channel(3)
+    lat = simplex_grid(3, 21)
+    assert len(lat) ** 2 > 20 * (dsc.BLOCK_CELLS // ch.w.size)
+    rep = check_condition(ch, 4, grid=21)
+    assert rep.worst_gap == 0.0
+    assert rep.witnesses == {"p1": lat[0].tolist(), "p2": lat[0].tolist()}
+    rep7 = check_condition(ch, 7, grid=21, samples=200, seed=2)
+    assert rep7.worst_gap == 0.0
+    assert rep7.witnesses["p1"] == simplex_grid(3, 5)[0].tolist()
+    v_x1 = np.zeros((3, 3, 9))
+    for x1 in range(3):
+        v_x1[x1, :, x1] = 1.0
+    assert rep7.witnesses["v_kernel"] == v_x1.tolist()
+
+
+def per_table_mi(table, axes, a, b, c) -> float:
+    """I(a; b | c) of one table, summing each entropy over its positive
+    cells only, in table order."""
+    def h(names):
+        drop = tuple(i for i, n in enumerate(axes) if n not in names)
+        p = (table.sum(axis=drop) if drop else table).reshape(-1)
+        p = p[p > 0]
+        return -(p * np.log2(p)).sum()
+
+    val = h(a + c) + h(b + c) - h(a + b + c)
+    return max(val - h(c) if c else val, 0.0)
+
+
+def test_results_do_not_depend_on_block_size(monkeypatch):
+    # one table per block, blocks that split the lattice unevenly, and the
+    # module's own size must all give the same bytes
+    rng = np.random.default_rng(77)
+    chans = [random_discrete(rng, (3, 3, 3, 3)), one_sided_channel(rng, 2)]
+    runs = []
+    for cells in (1, 700, dsc.BLOCK_CELLS):
+        monkeypatch.setattr(dsc, "BLOCK_CELLS", cells)
+        out = []
+        for ch in chans:
+            out.append(check_condition(ch, 4, grid=7).to_dict())
+            out.append(check_condition(ch, 7, grid=7, samples=10, seed=4).to_dict())
+            out.append(frontier_csv(inner_region_strong(ch, 0.3, grid=7)))
+        out.append(frontier_csv(inner_region_one_sided(chans[1], 0.3, grid=7)))
+        runs.append(out)
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2, 2), (3, 2, 2, 3, 2)])
+def test_mi_stack_matches_brute_force(rng, shape):
+    axes = tuple("abcde"[:len(shape)])
+    stack = rng.gamma(0.8, size=(40,) + shape)
+    stack[rng.random(stack.shape) < 0.35] = 0.0
+    stack[:, (0,) * len(shape)] += 1e-3
+    stack[3] = 0.0
+    stack[3][(1,) * len(shape)] = 1.0  # a point mass
+    stack /= stack.sum(axis=tuple(range(1, stack.ndim)), keepdims=True)
+    terms = [(("a",), ("b",), ()), (("a", "c"), ("d",), ()),
+             (("a",), ("b",), ("c",)), (("b",), ("a", "d"), ("c",)),
+             (("d",), ("b",), ("a", "c"))]
+    if len(shape) == 5:
+        terms += [(("e",), ("a",), ("b", "d")), (("a", "e"), ("c",), ())]
+    got = _mi_stack(stack, axes, terms)
+    assert got.shape == (len(terms), len(stack))
+    for n, table in enumerate(stack):
+        for k, (a, b, c) in enumerate(terms):
+            assert abs(got[k, n] - brute_mi(table, axes, a, b, c)) <= 1e-12
+            # a row's value does not depend on the rest of the stack, and
+            # zero cells do not regroup the entropy sums: the stack gives
+            # the per-table floats bit for bit, so outputs whose true value
+            # is 0 (rounding noise in a CSV) do not change with the batching
+            assert got[k, n] == mi(table, axes, a, b, c)
+            assert got[k, n] == per_table_mi(table, axes, a, b, c)
