@@ -90,8 +90,14 @@ class GaussianSystem:
         vec = np.zeros(len(self.labels))
         for name, c in coeffs.items():
             vec[self.index(name)] = c
-        col = self.cov @ vec
-        var = float(vec @ col)
+        with np.errstate(over="ignore", invalid="ignore"):
+            col = self.cov @ vec
+            var = float(vec @ col)
+        if not (np.isfinite(col).all() and math.isfinite(var)):
+            raise InputError(
+                f"covariance of {label!r} overflows: the gains or powers are "
+                "too large for floating point"
+            )
         n = len(self.labels)
         new = np.zeros((n + 1, n + 1))
         new[:n, :n] = self.cov

@@ -147,13 +147,16 @@ def _param_grid(n: int, snr: float) -> np.ndarray:
     A grid uniform in the raw parameter resolves nothing at high SNR: the
     binding window shrinks like 1/snr, so 51 vs 201 points can differ by a
     bit or more.  Spacing uniformly in the conditional-rate coordinate keeps
-    the endpoints 0 and 1 exact, keeps refinements nested, and makes the
-    sweep converge at caption-scale gains.
+    refinements nested and makes the sweep converge at caption-scale gains.
+    The endpoints are exactly 0 and 1; expm1(log1p(snr)) / snr can round
+    above 1, and 1 - alpha < 0 is a negative SNR when a gain is zero.
     """
     t = np.linspace(0.0, 1.0, n)
     if snr <= 1e-9:
         return t
-    return np.expm1(t * math.log1p(snr)) / snr
+    out = np.expm1(t * math.log1p(snr)) / snr
+    out[-1] = 1.0
+    return out
 
 
 CLIFF_LEVELS = 256
@@ -288,28 +291,23 @@ class _UnionEvaluator:
 
     def max_sum(self) -> float:
         """Exact max of R1 + R2 over the union of cell polytopes."""
-        return max(
-            _cell_max_sum(*np.minimum(self.sides[i][:, :, None],
-                                      self.sides[j][:, None, :]))
-            for i, j in self.blocks
-        )
+        return max(float(np.max(_cell_max_sum(*np.minimum(
+            self.sides[i][:, :, None], self.sides[j][:, None, :]))))
+            for i, j in self.blocks)
 
 
-def _cell_max_sum(m10, m01, m11, m21, m12) -> float:
-    """Max of R1 + R2 over cells given their reduced bounds (equal shapes)."""
-    # Per cell, maximize min(x + m01, m11, m21 - x, (m12 + x)/2) over
-    # feasible x; candidates are the pairwise balance points.
-    x_hi = np.minimum.reduce([m10, m11, m21 / 2.0, m12])
-    x_hi = np.maximum(x_hi, 0.0)
-    cands = [np.zeros_like(x_hi), x_hi,
-             (m21 - m01) / 2.0, m11 - m01,
-             (2.0 * m21 - m12) / 3.0, 2.0 * m11 - m12]
-    best = np.full(m10.shape, -np.inf)
-    for x in cands:
-        x = np.clip(x, 0.0, x_hi)
-        val = np.minimum.reduce([x + m01, m11, m21 - x, (m12 + x) / 2.0])
-        np.maximum(best, val, out=best)
-    return float(np.max(best))
+def _cell_max_sum(m10, m01, m11, m21, m12) -> np.ndarray:
+    """Largest R1 + R2 in each cell, given its reduced bounds (equal shapes).
+
+    A cell is the LP max R1 + R2 s.t. R1 <= m10, R2 <= m01, R1 + R2 <= m11,
+    2 R1 + R2 <= m21, R1 + 2 R2 <= m12, R1, R2 >= 0.  The bounds are
+    nonnegative (psi terms plus conference capacities), so the origin is
+    feasible and the max is the least dual objective over the seven
+    vertices of {y >= 0: y10 + y11 + 2 y21 + y12 >= 1,
+    y01 + y11 + y21 + 2 y12 >= 1}.
+    """
+    return np.minimum.reduce([m11, m21, m12, m10 + m01, (m10 + m12) / 2.0,
+                              (m01 + m21) / 2.0, (m21 + m12) / 3.0])
 
 
 @functools.lru_cache(maxsize=1)
@@ -322,23 +320,23 @@ def _evaluator(ch: GaussianIC, grid_n: int) -> _UnionEvaluator:
     return _UnionEvaluator(ch, grid_n)
 
 
-def outer_region(
-    ch: GaussianIC,
-    grid_n: int = DEFAULT_GRID,
-    samples: int = FRONTIER_SAMPLES,
-) -> RateRegion:
-    """Union of the per-parameter polytopes over a grid_n x grid_n sweep."""
+def outer_region(ch: GaussianIC, grid_n: int = DEFAULT_GRID) -> RateRegion:
+    """Union of the per-parameter polytopes over a grid_n x grid_n sweep,
+    sampled on the CSV grid: FRONTIER_SAMPLES even abscissae up to r1_cap,
+    or up to the last nonnegative sample if the frontier ends below 0."""
     if grid_n < 2:
         raise InputError("grid_n must be at least 2")
     ev = _evaluator(ch, grid_n)
     if ev.r1_cap <= 0:
         return point_region("outer")
-    grid = np.linspace(0.0, ev.r1_cap, samples)
+    grid = np.linspace(0.0, ev.r1_cap, FRONTIER_SAMPLES)
     vals = ev.frontier(grid)
-    ok = vals >= 0
-    last = int(np.nonzero(ok)[0][-1]) if ok.any() else 0
-    grid, vals = grid[: last + 1], np.maximum(vals[: last + 1], 0.0)
-    vals = np.minimum.accumulate(vals)
+    if vals[-1] < 0:
+        ok = np.flatnonzero(vals >= 0)
+        if not ok.size:
+            return point_region("outer")
+        grid = np.linspace(0.0, grid[ok[-1]], FRONTIER_SAMPLES)
+        vals = ev.frontier(grid)
     return RateRegion(grid, vals, tag="outer", frontier_fn=ev.frontier)
 
 

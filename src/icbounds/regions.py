@@ -198,14 +198,14 @@ def includes(a: RateRegion, b: RateRegion, tol: float = 1e-6) -> bool:
     return bool(np.all(fb <= fa + tol))
 
 
-def gap(a: RateRegion, b: RateRegion, samples: int = FRONTIER_SAMPLES) -> float:
+def gap(a: RateRegion, b: RateRegion) -> float:
     """Signed max frontier difference a - b on a shared r1 grid.
 
     Frontiers count as 0 beyond a region's extent, so the value is positive
     exactly when a pokes above (or beyond) b somewhere.
     """
     hi = max(a.r1_max, b.r1_max)
-    grid = np.linspace(0.0, hi, samples) if hi > 0 else np.array([0.0])
+    grid = np.linspace(0.0, hi, FRONTIER_SAMPLES) if hi > 0 else np.array([0.0])
     return float(np.max(a.frontier_at(grid) - b.frontier_at(grid)))
 
 
@@ -248,16 +248,15 @@ def convex_hull(region: RateRegion, tag: str = "") -> RateRegion:
     return hull_of_points(pts, tag=tag or region.tag)
 
 
-def frontier_csv(region: RateRegion, samples: int = FRONTIER_SAMPLES) -> str:
-    """CSV text: header then frontier samples, 9 significant digits."""
-    if region.r1_max <= 0:
-        rows = [(0.0, float(region.frontier_at(0.0)))]
-    else:
-        grid = np.linspace(0.0, region.r1_max, samples)
-        rows = list(zip(grid, region.frontier_at(grid)))
-    lines = ["r1,r2"]
-    lines += [f"{x:.9g},{y:.9g}" for x, y in rows]
-    return "\n".join(lines) + "\n"
+def frontier_csv(region: RateRegion) -> str:
+    """CSV text: header, then the frontier at FRONTIER_SAMPLES even abscissae
+    over [0, r1_max] to 9 significant digits, interpolated from the region's
+    own samples (``outer_region`` samples exactly this grid)."""
+    n = FRONTIER_SAMPLES if region.r1_max > 0 else 1
+    grid = np.linspace(0.0, region.r1_max, n)
+    vals = np.maximum(np.interp(grid, region.r1, region.r2), 0.0)
+    rows = [f"{x:.9g},{y:.9g}" for x, y in zip(grid, vals)]
+    return "\n".join(["r1,r2"] + rows) + "\n"
 
 
 def from_csv(text: str, tag: str = "") -> RateRegion:

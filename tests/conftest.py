@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the library's own code paths: discrete
 information quantities are accumulated over explicit outcome tuples,
 geometry checks go through brute-force membership sampling, the union
-outer bound is maximized cell by cell over the flattened parameter set, and
-the discrete lattice searches run one lattice point at a time.
+outer bound is maximized cell by cell over the flattened parameter set, a
+cell's sum rate is searched over candidate abscissae instead of read off
+its LP dual, and the discrete lattice searches run one lattice point at a
+time.
 """
 
 from __future__ import annotations
@@ -115,7 +117,29 @@ class FlatUnionOracle:
         return out
 
     def max_sum(self) -> float:
-        return ob._cell_max_sum(self.m10, self.m01, self.m11, self.m21, self.m12)
+        return float(np.max(ob._cell_max_sum(self.m10, self.m01, self.m11,
+                                             self.m21, self.m12)))
+
+
+def candidate_cell_max_sum(m10, m01, m11, m21, m12) -> np.ndarray:
+    """Largest R1 + R2 per cell by searching the abscissa R1 = x.
+
+    At R1 = x the largest sum is min(x + m01, m11, m21 - x, (m12 + x)/2),
+    concave and piecewise linear in x on [0, x_hi], so its max sits at an
+    end or where an increasing piece meets a non-increasing one: six
+    candidates, each clipped to [0, x_hi].
+    """
+    x_hi = np.minimum.reduce([m10, m11, m21 / 2.0, m12])
+    x_hi = np.maximum(x_hi, 0.0)
+    cands = [np.zeros_like(x_hi), x_hi,
+             (m21 - m01) / 2.0, m11 - m01,
+             (2.0 * m21 - m12) / 3.0, 2.0 * m11 - m12]
+    best = np.full(np.shape(m10), -np.inf)
+    for x in cands:
+        x = np.clip(x, 0.0, x_hi)
+        val = np.minimum.reduce([x + m01, m11, m21 - x, (m12 + x) / 2.0])
+        np.maximum(best, val, out=best)
+    return best
 
 
 class PointwiseSearchOracle:

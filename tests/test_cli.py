@@ -79,6 +79,42 @@ def test_outer_builds_one_evaluator(tmp_path, runner, monkeypatch):
     outer_bound._evaluator.cache_clear()
 
 
+def test_outer_samples_the_frontier_once(tmp_path, runner, monkeypatch):
+    from icbounds import outer_bound
+
+    calls = []
+    frontier = outer_bound._UnionEvaluator.frontier
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return frontier(self, x)
+
+    monkeypatch.setattr(outer_bound._UnionEvaluator, "frontier", counting)
+    spec = write_json(tmp_path / "ch.json", gaussian_doc())
+    for extra in ([], ["--hull"]):
+        calls.clear()
+        res = runner.invoke(main, ["outer", "--channel", spec, "--grid", "11",
+                                   "--out", str(tmp_path / "region.csv")] + extra)
+        assert res.exit_code == 0, res.output
+        assert calls == [512]
+    calls.clear()
+    res = runner.invoke(main, ["figure", "--preset", "fig2", "--grid", "11",
+                               "--out", str(tmp_path / "figs")])
+    assert res.exit_code == 0, res.output
+    assert calls == [512]
+
+
+def test_outer_zero_gain_channel(tmp_path, runner):
+    # s22 = 0: the warped beta grid must end at exactly 1, or 1 - beta < 0
+    spec = write_json(tmp_path / "ch.json", gaussian_doc(
+        s11=0.5, s12=2.2, s21=2.3, s22=0.0, p1=4.8, p2=3.1, d12=1.4, d21=0.8))
+    out = tmp_path / "region.csv"
+    res = runner.invoke(main, ["outer", "--channel", spec, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert "max sum rate" in res.output
+    assert out.read_text().startswith("r1,r2\n")
+
+
 def test_outer_rejects_malformed_json(tmp_path, runner):
     bad = tmp_path / "bad.json"
     bad.write_text('{"type": "gaussian", ')
@@ -148,8 +184,8 @@ def test_classify_undefined_threshold(tmp_path, runner):
 
 # Gains whose threshold arithmetic overflows (1e200**2) or divides by an
 # underflowed 2*s11*s21 (1e-200): undefined threshold, exit 3, as for a zero
-# gain.  --force skips the gate; the forced evaluation at 1e200 then fails
-# its own covariance check (exit 2) and at 1e-200 succeeds.
+# gain.  --force skips the gate; the forced evaluation at 1e200 then
+# overflows the covariance (exit 2) and at 1e-200 succeeds.
 @pytest.mark.parametrize("gain, forced_code", [(1e200, 2), (1e-200, 0)],
                          ids=["overflow", "underflow"])
 @pytest.mark.parametrize("kind, theorems", [("gaussian-6", ("2", "3")),
@@ -171,6 +207,8 @@ def test_threshold_outside_float_range(tmp_path, runner, gain, forced_code,
         forced = runner.invoke(main, args + ["--force"])
         assert forced.exit_code == forced_code, forced.output
         assert forced.exception is None or isinstance(forced.exception, SystemExit)
+        if forced_code == 2:
+            assert "gains or powers are too large" in forced.output
 
 
 def test_inner_theorem5_shape_gate(tmp_path, runner):

@@ -45,6 +45,11 @@ def test_psi_matches_scalar_channel(rng):
         assert gaussian_mi(sys, ("x",), ("y",)) == pytest.approx(psi(p), abs=1e-12)
 
 
+def test_build_system_overflow_names_the_cause():
+    with pytest.raises(InputError, match="gains or powers are too large"):
+        build_system(GaussianIC(1e200, 0.4, 1e200, 0.5, 1.0, 1.0))
+
+
 def test_build_system_noise_only():
     sys = build_system(GaussianIC(2, 3, 4, 5, 0.0, 0.0))
     assert sys.subcov(("y1",))[0, 0] == pytest.approx(1.0)

@@ -6,6 +6,7 @@ from icbounds import (
     GaussianIC,
     constraints_at,
     from_constraints,
+    frontier_csv,
     full_system,
     gaussian_mi,
     includes,
@@ -16,8 +17,9 @@ from icbounds import (
 )
 from icbounds import outer_bound as ob
 from icbounds.errors import InputError
+from icbounds.regions import FRONTIER_SAMPLES
 
-from conftest import FlatUnionOracle, random_channel
+from conftest import FlatUnionOracle, candidate_cell_max_sum, random_channel
 
 FIG2 = GaussianIC(100, 60, 60, 100, 1.0, 1.0, 0.5, 0.5)
 FIG3 = GaussianIC(60, 100, 100, 60, 1.0, 1.0, 0.5, 0.5)
@@ -174,8 +176,9 @@ def test_sum_rate_bound_below_full_cooperation(rng):
 
 def test_sum_rate_bound_matches_region_samples():
     val = sum_rate_bound(FIG4, grid_n=31)
-    reg = outer_region(FIG4, grid_n=31, samples=2048)
-    sampled = float(np.max(reg.r1 + reg.r2))
+    reg = outer_region(FIG4, grid_n=31)
+    xs = np.linspace(0.0, reg.r1_max, 2048)
+    sampled = float(np.max(xs + reg.frontier_at(xs)))
     assert sampled <= val + 1e-9
     assert val - sampled < 5e-3  # exact per-cell max vs frontier sampling
 
@@ -196,8 +199,12 @@ def test_grid_validation():
 
 # Channels for the evaluator-vs-oracle check beyond the presets and random
 # draws: s12 = 0 (no alpha cliffs), zero gain (no cliffs at all), zero power,
-# and |s21| = |s11| or |s12| = |s22| with the other cross link weak or strong.
+# |s21| = |s11| or |s12| = |s22| with the other cross link weak or strong,
+# and s22 = 0 or s11 = 0 with a parameter-grid SNR whose warped last point
+# would round to 1 + 2**-52 (1 - beta or 1 - alpha then goes negative).
 EDGE_CHANNELS = [
+    GaussianIC(0.5, 2.2, 2.3, 0.0, 4.8, 3.1, 1.4, 0.8),
+    GaussianIC(0.0, 2.3, 2.2, 0.5, 3.1, 4.8, 0.8, 1.4),
     GaussianIC(1.5, 0.0, 0.8, 2.0, 1.0, 1.0, 0.3, 0.2),
     GaussianIC(0, 0, 0, 0, 2.0, 3.0, 1.0, 1.0),
     GaussianIC(3, 2, 1, 4, 0.0, 0.0, 0.7, 0.9),
@@ -249,3 +256,96 @@ def test_evaluator_rejects_mixed_parameter_rhs(monkeypatch):
     monkeypatch.setattr(ob, "_rhs_table", mixed)
     with pytest.raises(RuntimeError, match="c07"):
         ob._UnionEvaluator(FIG2, 5)
+
+
+def test_param_grid_endpoints_exact():
+    for snr in (0.0, 1e-12, 0.5, 25.63, 1e4, 1e8):
+        for n in (2, 11, 201):
+            grid = ob._param_grid(n, snr)
+            assert grid[0] == 0.0 and grid[-1] == 1.0
+            assert np.all(np.diff(grid) > 0)
+
+
+def _assert_cells_match_candidates(cells):
+    got = ob._cell_max_sum(*cells)
+    want = candidate_cell_max_sum(*cells)
+    assert got.shape == want.shape
+    ulps = 4 * np.spacing(np.maximum(np.abs(got), np.abs(want)))
+    assert np.all(np.abs(got - want) <= ulps)
+
+
+def test_cell_max_sum_matches_candidate_search_random(rng):
+    # Cells as the evaluator forms them, min(alpha side, beta side), with
+    # sides drawn from small integers (ties), zeros and +inf (a side with no
+    # constraint of the class), and also from continuous draws.
+    n = 20_000
+    for draw in ("ties", "uniform"):
+        if draw == "ties":
+            sides = rng.integers(0, 6, size=(2, 5, n)).astype(float)
+        else:
+            sides = rng.uniform(0.0, 10.0, size=(2, 5, n))
+        sides[rng.random(size=sides.shape) < 0.1] = 0.0
+        inf = rng.random(size=(5, n)) < 0.3
+        sides[0][inf] = np.inf
+        sides[1][~inf & (rng.random(size=(5, n)) < 0.3)] = np.inf
+        _assert_cells_match_candidates(np.minimum(sides[0], sides[1]))
+
+
+@pytest.mark.parametrize("ch", [FIG2, FIG3, FIG4] + EDGE_CHANNELS)
+def test_cell_max_sum_matches_candidate_search_every_cell(ch):
+    ev = ob._UnionEvaluator(ch, ob.DEFAULT_GRID)
+    for i, j in ev.blocks:
+        cells = np.minimum(ev.sides[i][:, :, None], ev.sides[j][:, None, :])
+        _assert_cells_match_candidates(cells)
+
+
+def test_cell_max_sum_matches_cell_polytope(rng):
+    classes = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]
+    for _ in range(200):
+        ch = random_channel(rng, lo=0.0, hi=4.0)
+        params = BoundParams(rng.uniform(), rng.uniform())
+        cs = constraints_at(ch, params)
+        cell = [min(c.rhs for c in cs if (c.c1, c.c2) == k) for k in classes]
+        got = float(ob._cell_max_sum(*np.array(cell)))
+        assert got == pytest.approx(region_at(ch, params).max_sum(), abs=1e-12)
+
+
+def _frontier_fn_csv(reg):
+    xs = np.linspace(0.0, reg.r1_max, FRONTIER_SAMPLES)
+    ys = reg.frontier_at(xs)
+    return "r1,r2\n" + "".join(f"{x:.9g},{y:.9g}\n" for x, y in zip(xs, ys))
+
+
+@pytest.mark.parametrize("grid_n", [201, 11, 2])
+def test_frontier_csv_is_the_frontier_on_the_csv_grid(grid_n, rng):
+    chans = [FIG2, FIG3, FIG4] + EDGE_CHANNELS
+    chans += [random_channel(rng) for _ in range(10 if grid_n == 201 else 30)]
+    for ch in chans:
+        reg = outer_region(ch, grid_n=grid_n)
+        if reg.r1_max > 0:
+            assert frontier_csv(reg) == _frontier_fn_csv(reg)
+        else:
+            assert frontier_csv(reg) == "r1,r2\n0,0\n"
+
+
+class _LineEvaluator:
+    """Stand-in evaluator whose frontier 1 - x crosses 0 before r1_cap."""
+
+    r1_cap = 2.0
+
+    def __init__(self, shift=0.0):
+        self.shift = shift
+
+    def frontier(self, x):
+        return 1.0 - self.shift - np.asarray(x, dtype=float)
+
+
+def test_outer_region_resamples_a_frontier_ending_below_zero(monkeypatch):
+    monkeypatch.setattr(ob, "_evaluator", lambda ch, grid_n: _LineEvaluator())
+    reg = outer_region(FIG2, grid_n=5)
+    last = np.linspace(0.0, 2.0, FRONTIER_SAMPLES)[255]  # last x with 1 - x >= 0
+    assert reg.r1_max == last and reg.r1.size == FRONTIER_SAMPLES
+    assert np.array_equal(reg.r1, np.linspace(0.0, last, FRONTIER_SAMPLES))
+    assert frontier_csv(reg) == _frontier_fn_csv(reg)
+    monkeypatch.setattr(ob, "_evaluator", lambda ch, grid_n: _LineEvaluator(1.5))
+    assert outer_region(FIG2, grid_n=5).is_point()
