@@ -2,8 +2,7 @@
 """Produce the three preset bound frontiers and their summary numbers.
 
 Writes <out>/<preset>_bound.csv (raw union frontier), the convex hull next
-to it, and prints the sum-rate bound of each preset.  Feed an external
-frontier CSV through --compare to also get per-column differences.
+to it, and prints the sum-rate bound of each preset.
 """
 
 import argparse

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -153,7 +154,8 @@ def cmd_figure(preset: str, out_dir: str, grid: int, compare_path: str | None):
     _write_region_csv(hull, str(out / f"{preset}_bound_hull.csv"))
     if compare_path is not None:
         other = regions.from_csv(Path(compare_path).read_text(), tag="external")
-        grid_r1 = np.linspace(0.0, max(region.r1_max, other.r1_max), 512)
+        grid_r1 = np.linspace(0.0, max(region.r1_max, other.r1_max),
+                              regions.FRONTIER_SAMPLES)
         ours = region.frontier_at(grid_r1)
         theirs = other.frontier_at(grid_r1)
         lines = ["r1,r2_bound,r2_external,difference"]
@@ -189,7 +191,7 @@ def cmd_classify(channel_path: str):
         )
     else:
         raise InputError("classification needs a Gaussian channel spec")
-    _echo_json(report.to_dict())
+    _echo_json(asdict(report))
 
 
 @main.command("inner")
@@ -251,7 +253,7 @@ def cmd_check(channel_path: str, condition: str, grid: int,
         raise InputError("condition checks need a spec with type 'discrete'")
     report = dsc.check_condition(ch, int(condition), grid=grid,
                                  aux_card=aux_card, samples=samples, seed=seed)
-    _echo_json(report.to_dict())
+    _echo_json(asdict(report))
 
 
 @main.command("simulate")
@@ -278,7 +280,7 @@ def cmd_simulate(config_path: str):
         message_cap=int(_float_field(doc, "message_cap", sim.DEFAULT_MESSAGE_CAP)),
     )
     result = sim.simulate(cfg)
-    _echo_json(result.to_dict())
+    _echo_json(asdict(result))
 
 
 if __name__ == "__main__":

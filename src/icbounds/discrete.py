@@ -304,14 +304,6 @@ class ConditionReport:
     markov_ok: bool
     witnesses: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "holds_on_searched_family": self.holds_on_searched_family,
-            "worst_gap": self.worst_gap,
-            "markov_ok": self.markov_ok,
-            "witnesses": self.witnesses,
-        }
-
 
 def simplex_grid(dim: int, resolution: int) -> np.ndarray:
     """Uniform lattice on the probability simplex with the given resolution."""

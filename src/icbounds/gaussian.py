@@ -1,4 +1,4 @@
-"""Covariance algebra and an exact Gaussian mutual-information oracle.
+"""Covariance algebra and the Gaussian mutual-information oracle.
 
 All rates are in bits (log base 2).  Channels are real-gain, unit-noise:
 
@@ -8,6 +8,14 @@ All rates are in bits (log base 2).  Channels are real-gain, unit-noise:
 with E[x_i^2] <= p_i and z1, z2 (plus two spare independent copies zt1, zt2)
 zero-mean unit-variance Gaussians.  Everything here is a pure function of
 immutable inputs.
+
+The oracle (:func:`gaussian_mi` over a :class:`GaussianSystem`) is the test
+reference for the library's closed forms: it takes any conditional mutual
+information of jointly Gaussian variables as differences of log-determinants
+with an absolute ridge.  It loses digits as the SNR grows.  Against a
+60-digit reference on random cascade channels, the capacity evaluators'
+values through it were within 6e-15 bits at gains <= 3, 7e-10 bits at
+gains <= 1000 and 0.04 bits at gains <= 1e7.
 """
 
 from __future__ import annotations

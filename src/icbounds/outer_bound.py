@@ -276,10 +276,12 @@ class _UnionEvaluator:
         # (no alpha cliffs when s12 = 0) contributes no block
         self.blocks = [(i, j) for i, j in ((0, 2), (1, 2), (0, 3))
                        if self.sides[i].size and self.sides[j].size]
-        self.r1_cap = float(max(
-            min(self.sides[i][0].max(), self.sides[j][0].max())
-            for i, j in self.blocks
-        ))
+        # a cell's R1 extent min(m10, m11, m21/2, m12) splits into sides
+        # like the bounds, so the frontier at r1_cap is >= 0 by construction
+        extent = [np.minimum.reduce([m[0], m[2], m[3] / 2.0, m[4]])
+                  for m in self.sides]
+        self.r1_cap = float(max(min(extent[i].max(), extent[j].max())
+                                for i, j in self.blocks))
 
     def frontier(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -322,22 +324,15 @@ def _evaluator(ch: GaussianIC, grid_n: int) -> _UnionEvaluator:
 
 def outer_region(ch: GaussianIC, grid_n: int = DEFAULT_GRID) -> RateRegion:
     """Union of the per-parameter polytopes over a grid_n x grid_n sweep,
-    sampled on the CSV grid: FRONTIER_SAMPLES even abscissae up to r1_cap,
-    or up to the last nonnegative sample if the frontier ends below 0."""
+    sampled on the CSV grid: FRONTIER_SAMPLES even abscissae up to r1_cap."""
     if grid_n < 2:
         raise InputError("grid_n must be at least 2")
     ev = _evaluator(ch, grid_n)
     if ev.r1_cap <= 0:
         return point_region("outer")
     grid = np.linspace(0.0, ev.r1_cap, FRONTIER_SAMPLES)
-    vals = ev.frontier(grid)
-    if vals[-1] < 0:
-        ok = np.flatnonzero(vals >= 0)
-        if not ok.size:
-            return point_region("outer")
-        grid = np.linspace(0.0, grid[ok[-1]], FRONTIER_SAMPLES)
-        vals = ev.frontier(grid)
-    return RateRegion(grid, vals, tag="outer", frontier_fn=ev.frontier)
+    return RateRegion(grid, ev.frontier(grid), tag="outer",
+                      frontier_fn=ev.frontier)
 
 
 def sum_rate_bound(ch: GaussianIC, grid_n: int = DEFAULT_GRID) -> float:

@@ -7,13 +7,15 @@ conference link is receiver 2, budget d12) admit exact capacity statements:
 * kind "gaussian-13": y1 = s11*x1 + s12*y2 + z1  (receiver 1 hears y2),
 
 plus the one-sided channel (s12 = 0).  Each evaluator computes its region or
-sum rate with independent full-power Gaussian inputs through the covariance
-oracle.  :func:`classify` is the one place that computes a regime threshold;
-every evaluator's regime gate asks it.
+sum rate with independent full-power Gaussian inputs.  Every mutual
+information it needs involves one output alone, so each is psi of a ratio of
+received powers and noise variances.  :func:`classify` is the one place that
+computes a regime threshold; every evaluator's regime gate asks it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +26,7 @@ from .errors import (
     RegimeViolationError,
     UndefinedThresholdError,
 )
-from .gaussian import GaussianIC, GaussianSystem, gaussian_mi, psi
+from .gaussian import GaussianIC, psi
 from .regions import RateConstraint, RateRegion, from_constraints
 
 REGIME_TOL = 1e-9
@@ -64,17 +66,6 @@ class CorrelatedGaussianIC:
         object.__setattr__(self, "gain", h)
         object.__setattr__(self, "noise_cov", (n + n.T) / 2)
 
-    def system(self) -> GaussianSystem:
-        cov = np.zeros((4, 4))
-        cov[0, 0], cov[1, 1] = self.p1, self.p2
-        cov[2:, 2:] = self.noise_cov
-        base = GaussianSystem(("x1", "x2", "n1", "n2"), cov)
-        h = self.gain
-        return base.extend_many({
-            "y1": {"x1": h[0, 0], "x2": h[0, 1], "n1": 1.0},
-            "y2": {"x1": h[1, 0], "x2": h[1, 1], "n2": 1.0},
-        })
-
 
 @dataclass(frozen=True)
 class RegimeReport:
@@ -84,14 +75,6 @@ class RegimeReport:
     threshold: float
     margin: float
     boundary: bool = field(default=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "threshold": self.threshold,
-            "margin": self.margin,
-            "boundary": self.boundary,
-        }
 
 
 def effective_form(
@@ -180,6 +163,26 @@ def _require(kind: str | None, gains: tuple[float, float, float, float] | None,
     )
 
 
+def _received(ch: CorrelatedGaussianIC) -> tuple[float, ...]:
+    """(a1, b1, n1, a2, b2, n2): the received powers of x1 and x2 and the
+    noise variance at y1, then the same at y2, at full power.
+
+    Raises when a noise variance is not positive or a power overflows, so
+    every signal-to-noise ratio formed from them is finite.
+    """
+    (h11, h12), (h21, h22) = ch.gain.tolist()
+    n1, n2 = np.diag(ch.noise_cov).tolist()
+    p1, p2 = float(ch.p1), float(ch.p2)
+    a1, b1 = h11 * h11 * p1, h12 * h12 * p2
+    a2, b2 = h21 * h21 * p1, h22 * h22 * p2
+    if not (n1 > 0 and n2 > 0):
+        raise InputError("noise variances must be positive")
+    if not (math.isfinite((a1 + b1) / n1) and math.isfinite((a2 + b2) / n2)):
+        raise InputError("received powers overflow: the gains or powers are "
+                         "too large for floating point")
+    return a1, b1, n1, a2, b2, n2
+
+
 def capacity_region_strong(ch: CorrelatedGaussianIC, force: bool = False) -> RateRegion:
     """Capacity region in the strong regime (both receivers decode both).
 
@@ -190,12 +193,10 @@ def capacity_region_strong(ch: CorrelatedGaussianIC, force: bool = False) -> Rat
     if ch.kind == "gaussian-13":
         raise ChannelShapeError("strong-regime region applies to gaussian-6 channels")
     _require(ch.kind, ch.gains, "corollary-1", force)
-    sys = ch.system()
-    r1 = gaussian_mi(sys, ("x1",), ("y1",), ("x2",))
-    r2 = min(gaussian_mi(sys, ("x2",), ("y2",), ("x1",)) + ch.d12,
-             gaussian_mi(sys, ("x2",), ("y1",), ("x1",)))
-    s = min(gaussian_mi(sys, ("x1", "x2"), ("y2",)) + ch.d12,
-            gaussian_mi(sys, ("x1", "x2"), ("y1",)))
+    a1, b1, n1, a2, b2, n2 = _received(ch)
+    r1 = psi(a1 / n1)
+    r2 = min(psi(b2 / n2) + ch.d12, psi(b1 / n1))
+    s = min(psi((a2 + b2) / n2) + ch.d12, psi((a1 + b1) / n1))
     return from_constraints([
         RateConstraint(1, 0, r1, "r1"),
         RateConstraint(0, 1, r2, "r2"),
@@ -211,12 +212,9 @@ def sum_capacity_fwd_own(ch: CorrelatedGaussianIC, force: bool = False) -> float
     if ch.kind == "gaussian-13":
         raise ChannelShapeError("this sum capacity applies to gaussian-6 channels")
     _require(ch.kind, ch.gains, "corollary-2", force)
-    sys = ch.system()
-    return min(
-        gaussian_mi(sys, ("x1",), ("y1",), ("x2",))
-        + gaussian_mi(sys, ("x2",), ("y2",)) + ch.d12,
-        gaussian_mi(sys, ("x1", "x2"), ("y1",)),
-    )
+    a1, b1, n1, a2, b2, n2 = _received(ch)
+    return min(psi(a1 / n1) + psi(b2 / (a2 + n2)) + ch.d12,
+               psi((a1 + b1) / n1))
 
 
 def sum_capacity_fwd_interference(
@@ -229,12 +227,9 @@ def sum_capacity_fwd_interference(
     if ch.kind == "gaussian-6":
         raise ChannelShapeError("this sum capacity applies to gaussian-13 channels")
     _require(ch.kind, ch.gains, "corollary-3", force)
-    sys = ch.system()
-    return min(
-        gaussian_mi(sys, ("x2",), ("y2",), ("x1",))
-        + gaussian_mi(sys, ("x1",), ("y1",)),
-        gaussian_mi(sys, ("x1", "x2"), ("y2",)) + ch.d12,
-    )
+    a1, b1, n1, a2, b2, n2 = _received(ch)
+    return min(psi(b2 / n2) + psi(a1 / (b1 + n1)),
+               psi((a2 + b2) / n2) + ch.d12)
 
 
 def capacity_region_one_sided(

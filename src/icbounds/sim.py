@@ -120,23 +120,6 @@ class SimResult:
     per_cell: int
     conference_bits_per_use: float
 
-    def to_dict(self) -> dict:
-        return {
-            "err1": self.err1,
-            "err2": self.err2,
-            "err1_ci95": self.err1_ci95,
-            "err2_ci95": self.err2_ci95,
-            "trials": self.trials,
-            "seed": self.seed,
-            "scheme": self.scheme,
-            "n": self.n,
-            "nominal_rates": list(self.nominal_rates),
-            "effective_rates": list(self.effective_rates),
-            "cell_count": self.cell_count,
-            "per_cell": self.per_cell,
-            "conference_bits_per_use": self.conference_bits_per_use,
-        }
-
 
 class _Precomp:
     """Per-config tables shared by every trial."""

@@ -5,8 +5,9 @@ information quantities are accumulated over explicit outcome tuples,
 geometry checks go through brute-force membership sampling, the union
 outer bound is maximized cell by cell over the flattened parameter set, a
 cell's sum rate is searched over candidate abscissae instead of read off
-its LP dual, and the discrete lattice searches run one lattice point at a
-time.
+its LP dual, the discrete lattice searches run one lattice point at a
+time, and the cascade capacity evaluators' mutual informations come from
+the covariance oracle instead of closed forms.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import pytest
 from icbounds import DiscreteIC, GaussianIC, mi
 from icbounds import discrete as dsc
 from icbounds import outer_bound as ob
+from icbounds.gaussian import GaussianSystem
 from icbounds.regions import RateConstraint, from_constraints, hull_of_points
 
 
@@ -75,6 +77,20 @@ def random_channel(rng: np.random.Generator, lo=0.1, hi=3.0) -> GaussianIC:
     return GaussianIC(*s, p1, p2, d12, d21)
 
 
+def oracle_system(ch) -> GaussianSystem:
+    """x1, x2, the two noises and the outputs of a ``CorrelatedGaussianIC``
+    as one covariance system, for ``gaussian_mi``."""
+    cov = np.zeros((4, 4))
+    cov[0, 0], cov[1, 1] = ch.p1, ch.p2
+    cov[2:, 2:] = ch.noise_cov
+    base = GaussianSystem(("x1", "x2", "n1", "n2"), cov)
+    h = ch.gain
+    return base.extend_many({
+        "y1": {"x1": h[0, 0], "x2": h[0, 1], "n1": 1.0},
+        "y2": {"x1": h[1, 0], "x2": h[1, 1], "n2": 1.0},
+    })
+
+
 class FlatUnionOracle:
     """The union outer bound as a 2-D sweep over every (alpha, beta) cell.
 
@@ -100,7 +116,8 @@ class FlatUnionOracle:
         self.m11 = np.minimum.reduce(flat[4:10])
         self.m21 = np.minimum.reduce([flat[10], flat[12], flat[14]])
         self.m12 = np.minimum.reduce([flat[11], flat[13], flat[15]])
-        self.r1_cap = float(np.max(self.m10))
+        self.r1_cap = float(np.max(np.minimum.reduce(
+            [self.m10, self.m11, self.m21 / 2.0, self.m12])))
 
     def frontier(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -380,27 +380,27 @@ MATRIX_SPECS = {
 # classify, unless forced.
 INNER_MATRIX = {
     ("g6-cor1", "2"): (0, 0, "9ae1a2f3a4cb407c"),
-    ("g6-cor1", "3"): (4, 0, "d51cec33f91fc6a8"),
+    ("g6-cor1", "3"): (4, 0, "43f8cc5a32d4b209"),
     ("g6-cor1", "4"): (2, 2, ""),
     ("g6-cor1", "5"): (2, 2, ""),
     ("g6-cor2", "2"): (4, 0, "95cfc852915b779a"),
-    ("g6-cor2", "3"): (0, 0, "943b041f29f8af4f"),
+    ("g6-cor2", "3"): (0, 0, "98ae29eebdd3b091"),
     ("g6-cor2", "4"): (2, 2, ""),
     ("g6-cor2", "5"): (2, 2, ""),
     ("g6-edge", "2"): (0, 0, "5280b760aa17a9a4"),
-    ("g6-edge", "3"): (0, 0, "3479af6e2ee2603a"),
+    ("g6-edge", "3"): (0, 0, "8c3364c4da46b531"),
     ("g6-edge", "4"): (2, 2, ""),
     ("g6-edge", "5"): (2, 2, ""),
     ("g6-near", "2"): (0, 0, "5280b760aa17a9a4"),
-    ("g6-near", "3"): (0, 0, "3479af6e2ee2603a"),
+    ("g6-near", "3"): (0, 0, "8c3364c4da46b531"),
     ("g6-near", "4"): (2, 2, ""),
     ("g6-near", "5"): (2, 2, ""),
     ("g6-s11zero", "2"): (3, 0, "8b093c34cccac39a"),
-    ("g6-s11zero", "3"): (3, 0, "984ff80400bdacec"),
+    ("g6-s11zero", "3"): (3, 0, "7767d288b6bea3fa"),
     ("g6-s11zero", "4"): (2, 2, ""),
     ("g6-s11zero", "5"): (2, 2, ""),
     ("g6-s21zero", "2"): (3, 0, "b7ecb69fd4febaaa"),
-    ("g6-s21zero", "3"): (3, 0, "e4336a721da45987"),
+    ("g6-s21zero", "3"): (3, 0, "835c7b0b8618148f"),
     ("g6-s21zero", "4"): (2, 2, ""),
     ("g6-s21zero", "5"): (2, 2, ""),
     ("g13-cor3", "2"): (2, 2, ""),
@@ -417,7 +417,7 @@ INNER_MATRIX = {
     ("g13-none", "5"): (2, 2, ""),
     ("g13-s11zero", "2"): (2, 2, ""),
     ("g13-s11zero", "3"): (2, 2, ""),
-    ("g13-s11zero", "4"): (3, 0, "ea010dd2fc153b58"),
+    ("g13-s11zero", "4"): (3, 0, "96fef31e35ac57f6"),
     ("g13-s11zero", "5"): (2, 2, ""),
     ("g13-s21zero", "2"): (2, 2, ""),
     ("g13-s21zero", "3"): (2, 2, ""),

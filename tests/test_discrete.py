@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -495,8 +496,8 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
         monkeypatch.setattr(dsc, "BLOCK_CELLS", cells)
         out = []
         for ch in chans:
-            out.append(check_condition(ch, 4, grid=7).to_dict())
-            out.append(check_condition(ch, 7, grid=7, samples=10, seed=4).to_dict())
+            out.append(asdict(check_condition(ch, 4, grid=7)))
+            out.append(asdict(check_condition(ch, 7, grid=7, samples=10, seed=4)))
             out.append(frontier_csv(inner_region_strong(ch, 0.3, grid=7)))
         out.append(frontier_csv(inner_region_one_sided(chans[1], 0.3, grid=7)))
         runs.append(out)

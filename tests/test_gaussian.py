@@ -13,7 +13,8 @@ from icbounds import (
     gaussian_mi,
     psi,
 )
-from icbounds.errors import DegenerateChannelError, InputError
+from icbounds.errors import DegenerateChannelError, InputError, NumericalError
+from icbounds.gaussian import PSD_TOL, RIDGE, _logdet
 
 from conftest import random_channel
 
@@ -169,3 +170,41 @@ def test_channel_validation():
         GaussianIC(1, 1, 1, 1, 1, 1, d12=-0.1)
     with pytest.raises(InputError):
         GaussianIC(math.inf, 1, 1, 1, 1, 1)
+
+
+def _rotated(eigs):
+    c, s = math.cos(0.3), math.sin(0.3)
+    q = np.array([[c, -s], [s, c]])
+    return q @ np.diag(eigs) @ q.T
+
+
+def test_logdet_ridge_rescues_a_singular_block():
+    # exactly singular, and a least eigenvalue the ridge lifts above zero
+    # det(B + RIDGE*I) = 10*RIDGE + RIDGE**2, its small factor rounded to ~1e-4
+    assert _logdet(np.array([[2.0, 4.0], [4.0, 8.0]]), "b") == pytest.approx(
+        math.log(10.0 * RIDGE), abs=1e-3)
+    for mat in (np.diag([1.0, -0.5 * RIDGE]), _rotated([1.0, -0.5 * RIDGE])):
+        assert math.isfinite(_logdet(mat, "b"))
+
+
+def test_logdet_beyond_ridge_raises():
+    for mat in (np.diag([1.0, -2.0 * RIDGE]), _rotated([1.0, -2.0 * RIDGE])):
+        with pytest.raises(NumericalError, match="singular beyond ridge"):
+            _logdet(mat, "b")
+
+
+def test_system_psd_tolerance_scales_with_the_diagonal():
+    for scale in (1.0, 4.0, 1e6):
+        GaussianSystem(("a", "b"), np.diag([scale, -0.5 * PSD_TOL * scale]))
+        with pytest.raises(InputError, match="positive semidefinite"):
+            GaussianSystem(("a", "b"), np.diag([scale, -2.0 * PSD_TOL * scale]))
+
+
+def test_mi_of_an_exactly_degenerate_pair_is_finite():
+    # y and 2y carry what y carries: I(x; y, 2y) = I(x; y) = 0.5 bit; the
+    # ridge keeps both singular determinants evaluable.
+    sys = GaussianSystem(("x", "z"), np.eye(2)).extend_many({
+        "y": {"x": 1.0, "z": 1.0}, "y2": {"x": 2.0, "z": 2.0}})
+    val = gaussian_mi(sys, ("x",), ("y", "y2"))
+    assert math.isfinite(val)
+    assert val == pytest.approx(gaussian_mi(sys, ("x",), ("y",)), abs=1e-9)

@@ -200,8 +200,10 @@ def test_grid_validation():
 # Channels for the evaluator-vs-oracle check beyond the presets and random
 # draws: s12 = 0 (no alpha cliffs), zero gain (no cliffs at all), zero power,
 # |s21| = |s11| or |s12| = |s22| with the other cross link weak or strong,
-# and s22 = 0 or s11 = 0 with a parameter-grid SNR whose warped last point
-# would round to 1 + 2**-52 (1 - beta or 1 - alpha then goes negative).
+# s22 = 0 or s11 = 0 with a parameter-grid SNR whose warped last point
+# would round to 1 + 2**-52 (1 - beta or 1 - alpha then goes negative), and
+# a zero-power channel whose largest R1 bound m10 sits one ulp above a sum
+# bound (the frontier at max m10 is -2.2e-16).
 EDGE_CHANNELS = [
     GaussianIC(0.5, 2.2, 2.3, 0.0, 4.8, 3.1, 1.4, 0.8),
     GaussianIC(0.0, 2.3, 2.2, 0.5, 3.1, 4.8, 0.8, 1.4),
@@ -212,6 +214,8 @@ EDGE_CHANNELS = [
     GaussianIC(1.5, 2.5, 1.5, 2.0, 2.0, 1.0, 0.3, 0.4),
     GaussianIC(2.0, 1.5, 0.7, 1.5, 1.0, 2.0, 0.4, 0.3),
     GaussianIC(0.5, 1.5, 0.7, 1.5, 1.0, 2.0, 0.4, 0.3),
+    GaussianIC(4.816560779010604, 0.0, 0.3131529499425644, 3.9909213354852264,
+               0.3733439184896898, 0.0, 0.0, 1.8667432732343905),
 ]
 
 
@@ -328,24 +332,24 @@ def test_frontier_csv_is_the_frontier_on_the_csv_grid(grid_n, rng):
             assert frontier_csv(reg) == "r1,r2\n0,0\n"
 
 
-class _LineEvaluator:
-    """Stand-in evaluator whose frontier 1 - x crosses 0 before r1_cap."""
-
-    r1_cap = 2.0
-
-    def __init__(self, shift=0.0):
-        self.shift = shift
-
-    def frontier(self, x):
-        return 1.0 - self.shift - np.asarray(x, dtype=float)
+def _zero_power_channel(rng):
+    ch = random_channel(rng, lo=0.0, hi=5.0)
+    p1, p2 = (0.0, ch.p2) if rng.uniform() < 0.5 else (ch.p1, 0.0)
+    return GaussianIC(ch.s11, ch.s12, ch.s21, ch.s22, p1, p2, ch.d12, ch.d21)
 
 
-def test_outer_region_resamples_a_frontier_ending_below_zero(monkeypatch):
-    monkeypatch.setattr(ob, "_evaluator", lambda ch, grid_n: _LineEvaluator())
-    reg = outer_region(FIG2, grid_n=5)
-    last = np.linspace(0.0, 2.0, FRONTIER_SAMPLES)[255]  # last x with 1 - x >= 0
-    assert reg.r1_max == last and reg.r1.size == FRONTIER_SAMPLES
-    assert np.array_equal(reg.r1, np.linspace(0.0, last, FRONTIER_SAMPLES))
-    assert frontier_csv(reg) == _frontier_fn_csv(reg)
-    monkeypatch.setattr(ob, "_evaluator", lambda ch, grid_n: _LineEvaluator(1.5))
-    assert outer_region(FIG2, grid_n=5).is_point()
+@pytest.mark.parametrize("grid_n", [201, 11, 2])
+def test_frontier_at_r1_cap_is_nonnegative(grid_n, rng):
+    chans = [FIG2, FIG3, FIG4] + EDGE_CHANNELS
+    chans += [random_channel(rng) for _ in range(30)]
+    chans += [_zero_power_channel(rng) for _ in range(200)]
+    for ch in chans:
+        ev = ob._UnionEvaluator(ch, grid_n)
+        assert ev.frontier(ev.r1_cap)[0] >= 0.0
+
+
+def test_outer_region_reaches_r1_cap_on_zero_power_channel():
+    ch = EDGE_CHANNELS[-1]
+    for grid_n in (201, 11, 2):
+        reg = outer_region(ch, grid_n=grid_n)
+        assert reg.r1_max == ob._UnionEvaluator(ch, grid_n).r1_cap

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from icbounds.errors import (
     UndefinedThresholdError,
 )
 from icbounds.regimes import REGIME_TOL
+
+from conftest import oracle_system
 
 
 def margin_zero_channel(rng):
@@ -138,7 +141,7 @@ def test_sum_capacity_value_hand_checked():
 
 def test_sum_capacity_saturates_at_receiver1_look():
     ch = effective_form("gaussian-6", 3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 50.0)
-    sys = ch.system()
+    sys = oracle_system(ch)
     want = gaussian_mi(sys, ("x1", "x2"), ("y1",))
     assert sum_capacity_fwd_own(ch) == pytest.approx(want, abs=1e-12)
 
@@ -290,3 +293,72 @@ def test_gate_follows_classify(rng, evaluate, kind, want):
     if kind != "one-sided":
         want_outcomes.add("undefined")
     assert outcomes == want_outcomes
+
+
+def _oracle_values(ch):
+    """The three evaluators' values through the covariance oracle: the strong
+    region as (R1 extent, R2 extent, max sum), then the two sum capacities."""
+    sys = oracle_system(ch)
+    f = lambda a, b, c=(): gaussian_mi(sys, a, b, c)
+    r1 = f(("x1",), ("y1",), ("x2",))
+    r2 = min(f(("x2",), ("y2",), ("x1",)) + ch.d12, f(("x2",), ("y1",), ("x1",)))
+    s = min(f(("x1", "x2"), ("y2",)) + ch.d12, f(("x1", "x2"), ("y1",)))
+    own = min(r1 + f(("x2",), ("y2",)) + ch.d12, f(("x1", "x2"), ("y1",)))
+    interf = min(f(("x2",), ("y2",), ("x1",)) + f(("x1",), ("y1",)),
+                 f(("x1", "x2"), ("y2",)) + ch.d12)
+    return (min(r1, s), min(r2, s), min(s, r1 + r2)), own, interf
+
+
+def test_closed_forms_match_covariance_oracle(rng):
+    chans = []
+    for _ in range(240):
+        kind = "gaussian-6" if rng.uniform() < 0.5 else "gaussian-13"
+        s = rng.uniform(0.05, 3.0, size=4) * rng.choice([-1.0, 1.0], size=4)
+        p1, p2, d12 = rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0), rng.uniform(0, 1)
+        chans.append(effective_form(kind, *s, p1, p2, d12))
+    for kind in ("gaussian-6", "gaussian-13"):
+        for gains in ((0.0, 1.0, 1.0, 0.75), (1.5, 1.0, 0.0, 0.75),
+                      (0.0, 0.4, 2.0, 1.5), (1.0, 0.4, 0.0, 1.5),
+                      (0.0, 0.0, 0.0, 0.0)):
+            chans.append(effective_form(kind, *gains, 1.0, 1.0, 0.3))
+    for ch in chans:
+        region, own, interf = _oracle_values(ch)
+        if ch.kind == "gaussian-6":
+            reg = capacity_region_strong(ch, force=True)
+            assert (reg.r1_max, reg.r2_max, reg.max_sum()) == pytest.approx(
+                region, rel=0, abs=1e-12)
+            assert sum_capacity_fwd_own(ch, force=True) == pytest.approx(
+                own, rel=0, abs=1e-12)
+        else:
+            assert sum_capacity_fwd_interference(ch, force=True) == pytest.approx(
+                interf, rel=0, abs=1e-12)
+
+
+def _decimal_fwd_own(s11, s12, s21, s22, p1, p2, d12) -> Decimal:
+    """Theorem 3's sum capacity of a gaussian-6 channel at 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        s11, s12, s21, s22, p1, p2, d12 = map(
+            Decimal, (s11, s12, s21, s22, p1, p2, d12))
+        psi = lambda x: (1 + x).ln() / (2 * Decimal(2).ln())
+        a1, b1, n1 = s11 * s11 * p1, s12 * s12 * p2, Decimal(1)
+        h21 = s21 + s22 * s11
+        a2, b2, n2 = h21 * h21 * p1, (s22 * s12) ** 2 * p2, s22 * s22 + 1
+        return min(psi(a1 / n1) + psi(b2 / (a2 + n2)) + d12,
+                   psi((a1 + b1) / n1))
+
+
+@pytest.mark.parametrize("gain", [1e4, 1e6, 1e8])
+def test_fwd_own_at_high_snr_matches_decimal_reference(gain):
+    spec = (gain, 1.0, gain, 0.75, 1.0, 1.0, 0.3)
+    got = sum_capacity_fwd_own(effective_form("gaussian-6", *spec), force=True)
+    want = float(_decimal_fwd_own(*spec))
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_zero_noise_variance_raises():
+    ch = CorrelatedGaussianIC(np.eye(2), np.diag([0.0, 1.0]), 1, 1)
+    for evaluate in (capacity_region_strong, sum_capacity_fwd_own,
+                     sum_capacity_fwd_interference):
+        with pytest.raises(InputError, match="noise variances"):
+            evaluate(ch, force=True)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -139,10 +140,10 @@ def test_config_validation():
 def test_result_serialization():
     cfg = SimConfig(orthogonal_channel(), n=4, r1=0.5, r2=0.5, d12=0.25,
                     trials=20, seed=1)
-    doc = simulate(cfg).to_dict()
+    doc = asdict(simulate(cfg))
     assert doc["trials"] == 20 and doc["seed"] == 1
     assert 0.0 <= doc["err1"] <= 1.0 and 0.0 <= doc["err2"] <= 1.0
-    assert doc["nominal_rates"] == [0.5, 0.5]
+    assert list(doc["nominal_rates"]) == [0.5, 0.5]
 
 
 def test_error_decays_with_blocklength():
