@@ -24,7 +24,6 @@ from .regimes import (
     capacity_region_one_sided,
     capacity_region_strong,
     classify,
-    effective_form,
     sum_capacity_fwd_interference,
     sum_capacity_fwd_own,
 )
@@ -56,7 +55,7 @@ __all__ = [
     "GaussianSystem", "RateConstraint", "RateRegion", "RegimeReport",
     "SimConfig", "SimResult", "build_system", "capacity_region_one_sided",
     "capacity_region_strong", "check_condition", "classify", "constraints_at",
-    "convex_hull", "derived_signals", "effective_form", "from_constraints",
+    "convex_hull", "derived_signals", "from_constraints",
     "from_csv", "frontier_csv", "full_system", "gap", "gaussian_mi",
     "includes", "inner_region_one_sided", "inner_region_strong", "mi",
     "outer_constraints", "outer_region", "psi", "region_at",

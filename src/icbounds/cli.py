@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -74,6 +75,13 @@ def _float_field(doc: dict, key: str, default=None) -> float:
         raise InputError(f"field {key!r} must be a number") from None
 
 
+def _int_field(doc: dict, key: str, default=None) -> int:
+    value = _float_field(doc, key, default)
+    if not math.isfinite(value):
+        raise InputError(f"field {key!r} must be finite")
+    return int(value)
+
+
 def load_channel(path: str):
     """Parse a channel spec file into a typed channel object."""
     doc = _load_json(path)
@@ -88,7 +96,7 @@ def load_channel(path: str):
     if kind in ("gaussian-6", "gaussian-13"):
         if _float_field(doc, "d21", 0.0) != 0.0:
             raise InputError(f"{kind} assumes a one-directional conference (d21 = 0)")
-        return regimes.effective_form(
+        return regimes.CorrelatedGaussianIC(
             kind,
             s11=_float_field(doc, "s11"), s12=_float_field(doc, "s12"),
             s21=_float_field(doc, "s21"), s22=_float_field(doc, "s22"),
@@ -266,18 +274,21 @@ def cmd_simulate(config_path: str):
         channel = dsc.DiscreteIC.from_json_dict(doc["channel"])
     except KeyError:
         raise InputError("simulation config needs a 'channel' object") from None
+    try:
+        pmfs = {k: np.asarray(doc[k], dtype=float) for k in ("p1", "p2") if k in doc}
+    except (TypeError, ValueError):
+        raise InputError("fields 'p1' and 'p2' must be lists of numbers") from None
     cfg = sim.SimConfig(
         channel=channel,
-        n=int(_float_field(doc, "n")),
+        n=_int_field(doc, "n"),
         r1=_float_field(doc, "r1"),
         r2=_float_field(doc, "r2"),
         d12=_float_field(doc, "d12", 0.0),
         scheme=str(doc.get("scheme", "thm2")),
-        trials=int(_float_field(doc, "trials", 1000)),
-        seed=int(_float_field(doc, "seed", 0)),
-        p1=np.asarray(doc["p1"], dtype=float) if "p1" in doc else None,
-        p2=np.asarray(doc["p2"], dtype=float) if "p2" in doc else None,
-        message_cap=int(_float_field(doc, "message_cap", sim.DEFAULT_MESSAGE_CAP)),
+        trials=_int_field(doc, "trials", 1000),
+        seed=_int_field(doc, "seed", 0),
+        message_cap=_int_field(doc, "message_cap", sim.DEFAULT_MESSAGE_CAP),
+        **pmfs,
     )
     result = sim.simulate(cfg)
     _echo_json(asdict(result))

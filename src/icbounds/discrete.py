@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ChannelShapeError, InputError
-from .regions import RateConstraint, RateRegion, hull_of_points
+from .regions import RateConstraint, RateRegion, hull_of_points, pentagon_vertices
 
 NORM_TOL = 1e-12
 DEGRADE_TOL = 1e-9
@@ -46,7 +46,7 @@ class DiscreteIC:
         w = np.asarray(self.w, dtype=float)
         if w.ndim != 4 or min(w.shape) < 1:
             raise InputError("transition law must be a 4-D array (y1, y2, x1, x2)")
-        if np.any(w < -NORM_TOL):
+        if not np.all(w >= -NORM_TOL):  # also rejects NaN
             raise InputError("transition probabilities must be nonnegative")
         sums = w.sum(axis=(0, 1))
         if np.max(np.abs(sums - 1.0)) > NORM_TOL:
@@ -77,12 +77,14 @@ class DiscreteIC:
             ny1, ny2 = int(doc["ny1"]), int(doc["ny2"])
             nx1, nx2 = int(doc["nx1"]), int(doc["nx2"])
             flat = np.asarray(doc["w"], dtype=float)
+            d12, d21 = float(doc.get("d12", 0.0)), float(doc.get("d21", 0.0))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad discrete channel document: {exc}") from exc
         if flat.size != ny1 * ny2 * nx1 * nx2:
             raise InputError("flat transition array has the wrong length")
-        w = flat.reshape(ny1, ny2, nx1, nx2)
-        return cls(w, d12=float(doc.get("d12", 0.0)), d21=float(doc.get("d21", 0.0)))
+        if min(ny1, ny2, nx1, nx2) < 0:
+            raise InputError("alphabet sizes must be nonnegative")
+        return cls(flat.reshape(ny1, ny2, nx1, nx2), d12=d12, d21=d21)
 
     def to_json_dict(self) -> dict:
         return {
@@ -507,8 +509,8 @@ def _inner_region(ch: DiscreteIC, d12: float, grid: int,
     """Convex hull of the union over a product-input lattice of the
     pentagons R1 <= r1, R2 <= r2, R1 + R2 <= s.
 
-    Each pentagon enters the hull through its frontier vertices, computed
-    in closed form with the arithmetic of ``regions.from_constraints``.
+    Each pentagon enters the hull through its frontier vertices, from
+    ``regions.pentagon_vertices``.
     """
     if grid < 2:
         raise InputError("grid must be at least 2")
@@ -531,40 +533,7 @@ def _inner_region(ch: DiscreteIC, d12: float, grid: int,
         r1 = m[0]
         r2 = np.minimum(m[1] + d12, m[2])
         s = np.minimum(m[3] + d12, m[4])
-    return hull_of_points(_pentagon_vertices(r1, r2, s), tag=tag)
-
-
-def _pentagon_vertices(r1: np.ndarray, r2: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Frontier vertices of each pentagon R1 <= r1, R2 <= r2, R1 + R2 <= s,
-    as ``regions.from_constraints`` lists them for that constraint set:
-    (0, min(r2, s)), the corner (s - r2, r2) when the sum constraint cuts
-    the R2 edge, and (min(r1, s), .), with its near-duplicate and collinear
-    points dropped by the same tests."""
-    for name, v in (("r1", r1), ("r2", r2), ("sum", s)):
-        bad = ~np.isfinite(v) | (v < -1e-12)
-        if bad.any():
-            raise InputError(f"constraint {name!r} has rhs {v[bad][0]}")
-    x_end = np.maximum(np.minimum(r1, s), 0.0)
-    r2, s = np.maximum(r2, 0.0), np.maximum(s, 0.0)
-    y0 = np.minimum(r2, s)
-    xa = s - r2
-    ya = np.minimum(r2, s - xa)
-    y_end = np.minimum(r2, s - x_end)
-    x0 = np.zeros_like(y0)
-
-    def apart(x, y, xp, yp):
-        return ~((np.abs(x - xp) < 1e-12) & (np.abs(y - yp) < 1e-12))
-
-    keep_a = (0.0 < xa) & (xa < x_end) & apart(xa, ya, x0, y0)
-    keep_end = (x_end != 0.0) & np.where(keep_a, apart(x_end, y_end, xa, ya),
-                                         apart(x_end, y_end, x0, y0))
-    cross = (xa - x0) * (y_end - y0) - (ya - y0) * (x_end - x0)
-    scale = np.maximum(1.0, np.maximum(np.abs(x_end - x0), np.abs(y_end - y0)))
-    keep_a &= ~keep_end | (np.abs(cross) > 1e-10 * scale)
-    pts = [np.column_stack([x0, y0]),
-           np.column_stack([xa, ya])[keep_a],
-           np.column_stack([x_end, y_end])[keep_end]]
-    return np.maximum(np.concatenate(pts), 0.0)
+    return hull_of_points(pentagon_vertices(r1, r2, s), tag=tag)
 
 
 def inner_region_strong(ch: DiscreteIC, d12: float, grid: int = 21) -> RateRegion:

@@ -49,6 +49,16 @@ class BoundParams:
             raise InputError("alpha and beta must lie in [0, 1]")
 
 
+def _squares(ch: GaussianIC) -> tuple[float, float, float, float, float]:
+    """s11^2, s12^2, s21^2, s22^2 and (s11 s22 - s12 s21)^2; raises on overflow."""
+    try:
+        return (ch.s11**2, ch.s12**2, ch.s21**2, ch.s22**2,
+                (ch.s11 * ch.s22 - ch.s12 * ch.s21) ** 2)
+    except OverflowError:
+        raise InputError("squared gains overflow: the gains are too large for "
+                         "floating point") from None
+
+
 def _rhs_table(ch: GaussianIC, alpha, beta):
     """Right-hand sides of the 16 constraints, broadcast over alpha/beta.
 
@@ -56,11 +66,9 @@ def _rhs_table(ch: GaussianIC, alpha, beta):
     """
     al = np.asarray(alpha, dtype=float)
     be = np.asarray(beta, dtype=float)
-    a, b = ch.s11**2, ch.s12**2
-    c, d = ch.s21**2, ch.s22**2
+    a, b, c, d, det2 = _squares(ch)
     p1, p2 = ch.p1, ch.p2
     d12, d21 = ch.d12, ch.d21
-    det2 = (ch.s11 * ch.s22 - ch.s12 * ch.s21) ** 2
     cross_strong_1 = abs(ch.s21) >= abs(ch.s11)  # interference into rx2 at least as loud
     cross_strong_2 = abs(ch.s12) >= abs(ch.s22)
 
@@ -171,7 +179,8 @@ def _cliff_alpha(ch: GaussianIC, levels: int) -> np.ndarray:
     conference capacities, keeping sweeps with different budgets cell-wise
     comparable).
     """
-    a, b = ch.s11**2 * ch.p1, ch.s12**2 * ch.p2
+    s11_sq, s12_sq = _squares(ch)[:2]
+    a, b = s11_sq * ch.p1, s12_sq * ch.p2
     if b <= 0:
         return np.empty(0)
     lo, hi = psi(a / (b + 1)), psi(a + b)
@@ -182,7 +191,8 @@ def _cliff_alpha(ch: GaussianIC, levels: int) -> np.ndarray:
 
 def _cliff_beta(ch: GaussianIC, levels: int) -> np.ndarray:
     """Beta values where the beta-side single-user bound hits uniform levels."""
-    a, c = ch.s11**2 * ch.p1, ch.s21**2 * ch.p1
+    s11_sq, _, s21_sq = _squares(ch)[:3]
+    a, c = s11_sq * ch.p1, s21_sq * ch.p1
     if a <= 0 and c <= 0:
         return np.empty(0)
     dense = _param_grid(4097, a + c)
@@ -262,8 +272,9 @@ class _UnionEvaluator:
     """
 
     def __init__(self, ch: GaussianIC, grid_n: int):
-        al_g = _param_grid(grid_n, (ch.s12**2 + ch.s22**2) * ch.p2)
-        be_g = _param_grid(grid_n, (ch.s11**2 + ch.s21**2) * ch.p1)
+        s11_sq, s12_sq, s21_sq, s22_sq, _ = _squares(ch)
+        al_g = _param_grid(grid_n, (s12_sq + s22_sq) * ch.p2)
+        be_g = _param_grid(grid_n, (s11_sq + s21_sq) * ch.p1)
         al_c = _cliff_alpha(ch, CLIFF_LEVELS)
         be_c = _cliff_beta(ch, CLIFF_LEVELS)
         al = np.concatenate([al_g, al_c])

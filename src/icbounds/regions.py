@@ -167,6 +167,40 @@ def from_constraints(
     return RateRegion(xs, ys, tag=tag)
 
 
+def pentagon_vertices(r1, r2, s) -> np.ndarray:
+    """Frontier vertices of each pentagon R1 <= r1, R2 <= r2, R1 + R2 <= s
+    (1-D arrays, or scalars for one pentagon), as :func:`from_constraints`
+    lists them: (0, min(r2, s)), the corner (s - r2, r2) when the sum bound
+    cuts the R2 edge, and (min(r1, s), .), dropping near-duplicate and
+    collinear points by its tests.  Rows: origins, then corners, then ends."""
+    r1, r2, s = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (r1, r2, s))
+    for name, v in (("r1", r1), ("r2", r2), ("sum", s)):
+        bad = ~np.isfinite(v) | (v < -1e-12)
+        if bad.any():
+            raise InputError(f"constraint {name!r} has rhs {v[bad][0]}")
+    x_end = np.maximum(np.minimum(r1, s), 0.0)
+    r2, s = np.maximum(r2, 0.0), np.maximum(s, 0.0)
+    y0 = np.minimum(r2, s)
+    xa = s - r2
+    ya = np.minimum(r2, s - xa)
+    y_end = np.minimum(r2, s - x_end)
+    x0 = np.zeros_like(y0)
+
+    def apart(x, y, xp, yp):
+        return ~((np.abs(x - xp) < 1e-12) & (np.abs(y - yp) < 1e-12))
+
+    keep_a = (0.0 < xa) & (xa < x_end) & apart(xa, ya, x0, y0)
+    keep_end = (x_end != 0.0) & np.where(keep_a, apart(x_end, y_end, xa, ya),
+                                         apart(x_end, y_end, x0, y0))
+    cross = (xa - x0) * (y_end - y0) - (ya - y0) * (x_end - x0)
+    scale = np.maximum(1.0, np.maximum(np.abs(x_end - x0), np.abs(y_end - y0)))
+    keep_a &= ~keep_end | (np.abs(cross) > 1e-10 * scale)
+    pts = [np.column_stack([x0, y0]),
+           np.column_stack([xa, ya])[keep_a],
+           np.column_stack([x_end, y_end])[keep_end]]
+    return np.maximum(np.concatenate(pts), 0.0)
+
+
 def _dedupe_collinear(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drop repeated and collinear interior points for a canonical vertex list."""
     pts = [(float(xs[0]), float(ys[0]))]

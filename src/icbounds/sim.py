@@ -33,8 +33,11 @@ DEFAULT_MESSAGE_CAP = 4096
 _DEDUP_PASSES = 32
 
 
-def _count(exponent: float) -> int:
-    # tiny epsilon guards against float dust in n*rate products
+def _count(exponent: float) -> int | float:
+    # tiny epsilon guards against float dust in n*rate products; a count
+    # past the float range is inf, which every message cap rejects
+    if exponent >= 1024:
+        return math.inf
     return max(1, math.floor(2.0 ** exponent + 1e-9))
 
 
@@ -86,6 +89,8 @@ class SimConfig:
             raise InputError("blocklength must be positive")
         if self.r1 < 0 or self.r2 < 0 or self.d12 < 0:
             raise InputError("rates and conference capacity must be nonnegative")
+        if not all(map(math.isfinite, (self.r1, self.r2, self.d12))):
+            raise InputError("rates and conference capacity must be finite")
         if self.scheme not in ("thm2", "thm4"):
             raise InputError(f"unknown scheme {self.scheme!r}")
         if self.trials < 1:
@@ -96,7 +101,8 @@ class SimConfig:
                 object.__setattr__(self, name, np.full(size, 1.0 / size))
             else:
                 arr = np.asarray(pmf, dtype=float)
-                if arr.shape != (size,) or np.any(arr < 0) or abs(arr.sum() - 1) > 1e-9:
+                if (arr.shape != (size,) or not np.all(arr >= 0)
+                        or abs(arr.sum() - 1) > 1e-9):
                     raise InputError(f"{name} must be a PMF over {size} symbols")
                 object.__setattr__(self, name, arr)
 
@@ -151,7 +157,7 @@ class _Precomp:
         self.part = CellPartition.for_rate(cfg.n, rate_idx, cfg.d12)
         # Only the estimate of the partitioned message is forwarded; its
         # alphabet is the cell count, which meets the budget by construction.
-        assert self.part.cell_count <= 2.0 ** (cfg.n * cfg.d12) + 1e-9
+        assert math.log2(self.part.cell_count) <= cfg.n * cfg.d12 + 1e-9
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:

@@ -14,6 +14,7 @@ import pytest
 import icbounds
 from icbounds import (
     BoundParams,
+    CorrelatedGaussianIC,
     DiscreteIC,
     GaussianIC,
     SimConfig,
@@ -22,7 +23,6 @@ from icbounds import (
     check_condition,
     classify,
     constraints_at,
-    effective_form,
     full_system,
     gaussian_mi,
     includes,
@@ -140,9 +140,9 @@ def test_c06_corollary_boundary_consistency(report):
         s21 = rng.uniform(0.2, 1.5)
         s11 = s21 * rng.uniform(1.0, 3.0)
         s22 = (s11**2 - s21**2) / (2 * s11 * s21)
-        ch = effective_form("gaussian-6", s11, rng.uniform(0.2, 2.0), s21, s22,
-                            rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0),
-                            d12=rng.uniform(0, 1))
+        ch = CorrelatedGaussianIC("gaussian-6", s11, rng.uniform(0.2, 2.0), s21,
+                                  s22, rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0),
+                                  d12=rng.uniform(0, 1))
         assert classify("gaussian-6", *ch.gains).margin == 0.0
         msum = capacity_region_strong(ch).max_sum()
         worst = max(worst, abs(msum - sum_capacity_fwd_own(ch)))

@@ -483,3 +483,72 @@ def test_inner_exit_code_matrix(tmp_path, runner, spec, theorem, with_out, force
         body = stdout.encode()
         assert written == (body if with_out else None)
     assert hashlib.sha256(body).hexdigest()[:16] == digest
+
+
+# ------------------------------------ overflowing and malformed inputs
+
+def sim_config(**kw):
+    cfg = {"channel": discrete_doc(), "n": 4, "r1": 0.25, "r2": 0.25,
+           "d12": 0.5, "scheme": "thm2", "trials": 5, "seed": 3}
+    cfg.update(kw)
+    return cfg
+
+
+CASCADE_OVERFLOW = cascade_doc("gaussian-6", 2.0, 1.0, 1.0, 1e200)
+ONE_SIDED_OVERFLOW = gaussian_doc(s11=1e200, s12=0.0, s21=2e200, s22=1.0, p1=1.0,
+                                  p2=1.0, d12=0.1, d21=0.0)
+DET_OVERFLOW = gaussian_doc(s11=1e80, s12=3e80, s21=2e80, s22=1e80, p1=1.0,
+                            p2=1.0, d12=0.1, d21=0.2)
+ROGUE_INPUTS = {
+    # case: (command, document, exit code, text the output must hold)
+    "cascade-thm2": ("inner2", CASCADE_OVERFLOW, 2, "received powers overflow"),
+    "cascade-thm2-force": ("inner2-force", CASCADE_OVERFLOW, 2,
+                           "received powers overflow"),
+    "cascade-thm3": ("inner3", CASCADE_OVERFLOW, 4, "violates corollary-2"),
+    "one-sided-outer": ("outer", ONE_SIDED_OVERFLOW, 2, "squared gains overflow"),
+    "one-sided-thm5": ("inner5", ONE_SIDED_OVERFLOW, 2, "received powers overflow"),
+    "det-outer": ("outer", DET_OVERFLOW, 2, "squared gains overflow"),
+    "discrete-d12-check": ("check", discrete_doc(d12="x"), 2, "bad discrete"),
+    "discrete-d12-inner": ("inner2", discrete_doc(d12="x"), 2, "bad discrete"),
+    "discrete-dims-check": ("check", {**discrete_doc(), "ny1": -2, "ny2": -2}, 2,
+                            "alphabet sizes"),
+    "discrete-dims-inner": ("inner2", {**discrete_doc(), "ny1": -2, "ny2": -2}, 2,
+                            "alphabet sizes"),
+    "discrete-w-nan": ("check", {**discrete_doc(), "w": [float("nan")] * 16}, 2,
+                       "nonnegative"),
+    "sim-n-huge": ("simulate", sim_config(n=1e9), 2, "exceeds cap"),
+    "sim-r1-huge": ("simulate", sim_config(r1=1e9), 2, "exceeds cap"),
+    "sim-d12-huge": ("simulate", sim_config(d12=1e300), 0, '"cell_count"'),
+    "sim-d12-nan": ("simulate", sim_config(d12=float("nan")), 2, "finite"),
+    "sim-r1-nan": ("simulate", sim_config(r1=float("nan")), 2, "finite"),
+    "sim-n-nan": ("simulate", sim_config(n=float("nan")), 2, "finite"),
+    "sim-r2-inf": ("simulate", sim_config(r2=float("inf")), 2, "finite"),
+    "sim-p1-text": ("simulate", sim_config(p1="x"), 2, "'p1' and"),
+    "sim-p1-nan": ("simulate", sim_config(p1=[float("nan"), 1.0]), 2, "PMF"),
+}
+ROGUE_ARGS = {
+    "inner2": ["inner", "--theorem", "2", "--grid", "5", "--out", "{out}"],
+    "inner2-force": ["inner", "--theorem", "2", "--force", "--out", "{out}"],
+    "inner3": ["inner", "--theorem", "3"],
+    "inner5": ["inner", "--theorem", "5", "--out", "{out}"],
+    "outer": ["outer", "--grid", "5", "--out", "{out}"],
+    "check": ["check", "--condition", "4", "--grid", "5"],
+    "simulate": ["simulate"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROGUE_INPUTS))
+def test_rogue_inputs_exit_cleanly(tmp_path, runner, case):
+    command, doc, code, text = ROGUE_INPUTS[case]
+    path = write_json(tmp_path / "in.json", doc)
+    flag = "--config" if command == "simulate" else "--channel"
+    args = [a.replace("{out}", str(tmp_path / "out.csv"))
+            for a in ROGUE_ARGS[command]] + [flag, path]
+    res = runner.invoke(main, args)
+    assert res.exit_code == code, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output and text in res.output
+    if code == 0:
+        doc = json.loads(res.stdout)
+        # the budget exceeds the rate: each of the 2 messages is its own cell
+        assert (doc["cell_count"], doc["per_cell"], doc["trials"]) == (2, 1, 5)

@@ -14,14 +14,14 @@ from icbounds import (
     outer_constraints,
 )
 from icbounds import discrete as dsc
-from icbounds.discrete import (
-    _mi_stack,
-    _pentagon_vertices,
-    one_sided_factorization,
-    simplex_grid,
-)
+from icbounds.discrete import _mi_stack, one_sided_factorization, simplex_grid
 from icbounds.errors import ChannelShapeError, InputError
-from icbounds.regions import RateConstraint, from_constraints, frontier_csv
+from icbounds.regions import (
+    RateConstraint,
+    from_constraints,
+    frontier_csv,
+    pentagon_vertices,
+)
 
 from conftest import (
     PointwiseSearchOracle,
@@ -446,12 +446,12 @@ def test_pentagon_vertices_match_from_constraints(rng):
     for r1, r2, s in rows:
         reg = from_constraints([RateConstraint(1, 0, r1), RateConstraint(0, 1, r2),
                                 RateConstraint(1, 1, s)])
-        got = _pentagon_vertices(np.array([r1]), np.array([r2]), np.array([s]))
+        got = pentagon_vertices(np.array([r1]), np.array([r2]), np.array([s]))
         assert [tuple(p) for p in got.tolist()] == list(zip(reg.r1.tolist(),
                                                             reg.r2.tolist()))
     for bad in ((np.inf, 0.5, 1.0), (1.0, -1e-9, 1.0), (1.0, 0.5, np.nan)):
         with pytest.raises(InputError):
-            _pentagon_vertices(*(np.array([v]) for v in bad))
+            pentagon_vertices(*(np.array([v]) for v in bad))
 
 
 def test_tied_gaps_across_row_blocks_keep_first_pair():

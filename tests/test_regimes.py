@@ -10,7 +10,6 @@ from icbounds import (
     capacity_region_one_sided,
     capacity_region_strong,
     classify,
-    effective_form,
     gaussian_mi,
     includes,
     outer_region,
@@ -35,24 +34,24 @@ def margin_zero_channel(rng):
     s22 = (s11**2 - s21**2) / (2 * s11 * s21)
     s12 = rng.uniform(0.2, 2.0)
     p1, p2 = rng.uniform(0.5, 4.0, size=2)
-    return effective_form("gaussian-6", s11, s12, s21, s22, p1, p2,
-                          d12=rng.uniform(0, 1))
+    return CorrelatedGaussianIC("gaussian-6", s11, s12, s21, s22, p1, p2,
+                                d12=rng.uniform(0, 1))
 
 
 def test_effective_form_unit_gains():
-    ch = effective_form("gaussian-6", 1, 1, 1, 1, 1, 1, 0.0)
+    ch = CorrelatedGaussianIC("gaussian-6", 1, 1, 1, 1, 1, 1, 0.0)
     assert np.allclose(ch.gain, [[1, 1], [2, 1]])
     assert np.allclose(ch.noise_cov, [[1, 1], [1, 2]])
 
 
 def test_effective_form_severed_cascade():
-    ch = effective_form("gaussian-6", 1.2, 0.7, 0.9, 0.0, 1, 1, 0.0)
+    ch = CorrelatedGaussianIC("gaussian-6", 1.2, 0.7, 0.9, 0.0, 1, 1, 0.0)
     assert np.allclose(ch.noise_cov, np.eye(2))
     assert np.allclose(ch.gain[1], [0.9, 0.0])
 
 
 def test_effective_form_reverse_cascade():
-    ch = effective_form("gaussian-13", 1.0, 0.5, 2.0, 3.0, 1, 1, 0.0)
+    ch = CorrelatedGaussianIC("gaussian-13", 1.0, 0.5, 2.0, 3.0, 1, 1, 0.0)
     assert np.allclose(ch.gain[0], [2.0, 1.5])
     assert np.allclose(ch.noise_cov, [[1.25, 0.5], [0.5, 1.0]])
 
@@ -61,13 +60,13 @@ def test_effective_form_noise_cov_psd(rng):
     for _ in range(50):
         kind = "gaussian-6" if rng.uniform() < 0.5 else "gaussian-13"
         s = rng.uniform(-3, 3, size=4)
-        ch = effective_form(kind, *s, 1.0, 1.0, 0.0)
+        ch = CorrelatedGaussianIC(kind, *s, 1.0, 1.0, 0.0)
         assert np.min(np.linalg.eigvalsh(ch.noise_cov)) >= -1e-12
 
 
 def test_effective_form_unknown_kind():
     with pytest.raises(ChannelShapeError):
-        effective_form("gaussian-99", 1, 1, 1, 1, 1, 1, 0.0)
+        CorrelatedGaussianIC("gaussian-99", 1, 1, 1, 1, 1, 1, 0.0)
 
 
 def test_classify_equal_gains_is_strong():
@@ -98,25 +97,25 @@ def test_classify_errors():
 
 
 def test_strong_region_zero_power():
-    ch = effective_form("gaussian-6", 1, 1, 1, 1, 0.0, 0.0, 0.5)
+    ch = CorrelatedGaussianIC("gaussian-6", 1, 1, 1, 1, 0.0, 0.0, 0.5)
     assert capacity_region_strong(ch).is_point()
 
 
 def test_strong_region_direct_rate_bound():
     # equal direct/cross gains sit on the strong boundary; with no
     # conference the private rate is the single-user look
-    ch = effective_form("gaussian-6", 1.3, 0.8, 1.3, 0.6, 2.0, 1.0, 0.0)
+    ch = CorrelatedGaussianIC("gaussian-6", 1.3, 0.8, 1.3, 0.6, 2.0, 1.0, 0.0)
     reg = capacity_region_strong(ch)
     assert reg.r1_max == pytest.approx(psi(1.3**2 * 2.0), abs=1e-12)
 
 
 def test_regime_gate_and_force():
-    ch = effective_form("gaussian-6", 3.0, 1.0, 1.0, 0.2, 1.0, 1.0, 0.3)
+    ch = CorrelatedGaussianIC("gaussian-6", 3.0, 1.0, 1.0, 0.2, 1.0, 1.0, 0.3)
     with pytest.raises(RegimeViolationError):
         capacity_region_strong(ch)
     capacity_region_strong(ch, force=True)
     # mirrored gate for the mixed-regime sum capacity
-    ch2 = effective_form("gaussian-6", 1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 0.3)
+    ch2 = CorrelatedGaussianIC("gaussian-6", 1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 0.3)
     with pytest.raises(RegimeViolationError):
         sum_capacity_fwd_own(ch2)
     sum_capacity_fwd_own(ch2, force=True)
@@ -133,14 +132,14 @@ def test_sum_capacity_value_hand_checked():
     # cascade gains (3, 1, 1, 1), unit powers, d12 = 0.3:
     # direct look 0.5*log2(10); own-signal look 0.5*log2(19/18);
     # receiver-1 joint look 0.5*log2(11)
-    ch = effective_form("gaussian-6", 3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.3)
+    ch = CorrelatedGaussianIC("gaussian-6", 3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.3)
     want = min(0.5 * math.log2(10) + 0.5 * math.log2(19 / 18) + 0.3,
                0.5 * math.log2(11))
     assert sum_capacity_fwd_own(ch) == pytest.approx(want, abs=1e-9)
 
 
 def test_sum_capacity_saturates_at_receiver1_look():
-    ch = effective_form("gaussian-6", 3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 50.0)
+    ch = CorrelatedGaussianIC("gaussian-6", 3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 50.0)
     sys = oracle_system(ch)
     want = gaussian_mi(sys, ("x1", "x2"), ("y1",))
     assert sum_capacity_fwd_own(ch) == pytest.approx(want, abs=1e-12)
@@ -149,14 +148,14 @@ def test_sum_capacity_saturates_at_receiver1_look():
 def test_fwd_interference_monotone_in_conference():
     vals = []
     for d12 in (0.0, 0.3, 0.8, 2.0):
-        ch = effective_form("gaussian-13", 1.0, 0.4, 2.0, 1.5, 1.0, 1.0, d12)
+        ch = CorrelatedGaussianIC("gaussian-13", 1.0, 0.4, 2.0, 1.5, 1.0, 1.0, d12)
         vals.append(sum_capacity_fwd_interference(ch))
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_fwd_interference_closed_form_decoupled():
     # gaussian-13 with s12 = 0 and no conference: plain psi terms
-    ch = effective_form("gaussian-13", 1.0, 0.0, 2.0, 1.5, 2.0, 1.0, 0.0)
+    ch = CorrelatedGaussianIC("gaussian-13", 1.0, 0.0, 2.0, 1.5, 2.0, 1.0, 0.0)
     alt1 = psi(1.5**2 * 1.0) + psi(1.0**2 * 2.0)
     det2 = (1.0 * 1.5) ** 2
     alt2 = psi(2.0**2 * 2.0 + 1.5**2 * 1.0 + det2 * 2.0 * 1.0)
@@ -165,7 +164,7 @@ def test_fwd_interference_closed_form_decoupled():
 
 
 def test_fwd_interference_wrong_kind():
-    ch = effective_form("gaussian-6", 1.0, 0.4, 2.0, 1.5, 1.0, 1.0, 0.1)
+    ch = CorrelatedGaussianIC("gaussian-6", 1.0, 0.4, 2.0, 1.5, 1.0, 1.0, 0.1)
     with pytest.raises(ChannelShapeError):
         sum_capacity_fwd_interference(ch)
 
@@ -210,23 +209,21 @@ def test_capacity_inside_outer_bound(rng):
 def test_strong_region_monotone_in_conference():
     regs = []
     for d12 in (0.0, 0.4, 1.0):
-        ch = effective_form("gaussian-6", 1.3, 0.8, 1.3, 0.6, 2.0, 1.0, d12)
+        ch = CorrelatedGaussianIC("gaussian-6", 1.3, 0.8, 1.3, 0.6, 2.0, 1.0, d12)
         regs.append(capacity_region_strong(ch))
     assert includes(regs[1], regs[0], tol=1e-9)
     assert includes(regs[2], regs[1], tol=1e-9)
 
 
 def test_correlated_channel_validation():
-    with pytest.raises(InputError):
-        CorrelatedGaussianIC(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 1, 1)
-    with pytest.raises(InputError):
-        CorrelatedGaussianIC(np.eye(3), np.eye(2), 1, 1)
-    with pytest.raises(InputError):
-        CorrelatedGaussianIC(np.eye(2), np.eye(2), -1, 1)
-    hand_built = CorrelatedGaussianIC(np.eye(2), np.eye(2), 1, 1, d12=0.5)
-    with pytest.raises(RegimeViolationError):
-        capacity_region_strong(hand_built)  # no regime metadata
-    capacity_region_strong(hand_built, force=True)
+    with pytest.raises(InputError, match="nonnegative"):
+        CorrelatedGaussianIC("gaussian-6", 1, 1, 1, 1, -1, 1, 0.0)
+    with pytest.raises(InputError, match="finite"):
+        CorrelatedGaussianIC("gaussian-13", 1, float("nan"), 1, 1, 1, 1, 0.0)
+    with pytest.raises(InputError, match="finite"):
+        CorrelatedGaussianIC("gaussian-6", 1, 1, float("inf"), 1, 1, 1, 0.0)
+    with pytest.raises(ChannelShapeError):
+        CorrelatedGaussianIC("gaussian", 1, 1, 1, 1, 1, 1, 0.0)
 
 
 # evaluator, channel kind it takes, corollary its gate wants
@@ -262,7 +259,7 @@ def gate_channel(rng, kind):
         else:
             s12 = thr - offset if near else s12
     gains = (s11, s12, s21, s22)
-    return effective_form(kind, *gains, p1, p2, d12), gains
+    return CorrelatedGaussianIC(kind, *gains, p1, p2, d12), gains
 
 
 @pytest.mark.parametrize("evaluate, kind, want", GATED,
@@ -315,12 +312,12 @@ def test_closed_forms_match_covariance_oracle(rng):
         kind = "gaussian-6" if rng.uniform() < 0.5 else "gaussian-13"
         s = rng.uniform(0.05, 3.0, size=4) * rng.choice([-1.0, 1.0], size=4)
         p1, p2, d12 = rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0), rng.uniform(0, 1)
-        chans.append(effective_form(kind, *s, p1, p2, d12))
+        chans.append(CorrelatedGaussianIC(kind, *s, p1, p2, d12))
     for kind in ("gaussian-6", "gaussian-13"):
         for gains in ((0.0, 1.0, 1.0, 0.75), (1.5, 1.0, 0.0, 0.75),
                       (0.0, 0.4, 2.0, 1.5), (1.0, 0.4, 0.0, 1.5),
                       (0.0, 0.0, 0.0, 0.0)):
-            chans.append(effective_form(kind, *gains, 1.0, 1.0, 0.3))
+            chans.append(CorrelatedGaussianIC(kind, *gains, 1.0, 1.0, 0.3))
     for ch in chans:
         region, own, interf = _oracle_values(ch)
         if ch.kind == "gaussian-6":
@@ -351,14 +348,6 @@ def _decimal_fwd_own(s11, s12, s21, s22, p1, p2, d12) -> Decimal:
 @pytest.mark.parametrize("gain", [1e4, 1e6, 1e8])
 def test_fwd_own_at_high_snr_matches_decimal_reference(gain):
     spec = (gain, 1.0, gain, 0.75, 1.0, 1.0, 0.3)
-    got = sum_capacity_fwd_own(effective_form("gaussian-6", *spec), force=True)
+    got = sum_capacity_fwd_own(CorrelatedGaussianIC("gaussian-6", *spec), force=True)
     want = float(_decimal_fwd_own(*spec))
     assert got == pytest.approx(want, rel=1e-12, abs=0)
-
-
-def test_zero_noise_variance_raises():
-    ch = CorrelatedGaussianIC(np.eye(2), np.diag([0.0, 1.0]), 1, 1)
-    for evaluate in (capacity_region_strong, sum_capacity_fwd_own,
-                     sum_capacity_fwd_interference):
-        with pytest.raises(InputError, match="noise variances"):
-            evaluate(ch, force=True)
