@@ -178,25 +178,16 @@ def cmd_figure(preset: str, out_dir: str, grid: int, compare_path: str | None):
 @_map_errors
 def cmd_classify(channel_path: str):
     """Print the regime report for a cascade or one-sided channel spec."""
-    doc = _load_json(channel_path)
-    kind = doc.get("type")
-    if kind in ("gaussian-6", "gaussian-13"):
-        report = regimes.classify(
-            kind,
-            _float_field(doc, "s11"), _float_field(doc, "s12"),
-            _float_field(doc, "s21"), _float_field(doc, "s22"),
-        )
-    elif kind == "gaussian":
-        if _float_field(doc, "s12") != 0.0:
+    ch = load_channel(channel_path)
+    if isinstance(ch, regimes.CorrelatedGaussianIC):
+        report = regimes.classify(ch.kind, *ch.gains)
+    elif isinstance(ch, GaussianIC):
+        if ch.s12 != 0.0:
             raise InputError(
                 "no regime classifier for a fully coupled channel; use type "
                 "'gaussian-6', 'gaussian-13', or a one-sided spec (s12 = 0)"
             )
-        report = regimes.classify(
-            "one-sided",
-            _float_field(doc, "s11"), 0.0,
-            _float_field(doc, "s21"), _float_field(doc, "s22"),
-        )
+        report = regimes.classify("one-sided", ch.s11, 0.0, ch.s21, ch.s22)
     else:
         raise InputError("classification needs a Gaussian channel spec")
     _echo_json(asdict(report))

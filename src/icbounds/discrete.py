@@ -8,11 +8,14 @@ One information kernel, :func:`_mi_stack`, computes every mutual
 information here.  It takes a stack of joint tables with a leading batch
 axis and returns I(a; b | c) per table, computing each marginal entropy
 once over the whole stack with 0 log 0 = 0; :func:`mi` is a validated
-batch-of-one call into it.  The condition searches and the inner regions
+batch-of-one call into it.  An entropy sums each table's positive cells in
+table order, by one path for every stack, so a table's value is the same
+float alone or in any stack.  The condition searches and the inner regions
 evaluate their whole product-input lattice (and, for condition 7, every
 auxiliary kernel at every probe input) as such stacks, in blocks of at
 most BLOCK_CELLS table cells, so peak memory does not grow with the
-lattice.
+lattice.  Their set-up (lattices, input pairs, structured kernels, the
+degradedness test) is array code with no loop over symbols or cells.
 """
 
 from __future__ import annotations
@@ -101,19 +104,18 @@ def _entropy_rows(tables: np.ndarray) -> np.ndarray:
 
     Each row sums only its positive terms, in table order, as numpy sums a
     table's positive cells on their own: a row's value is the same float
-    whatever the other rows of the stack and wherever its zero cells lie."""
+    whatever the other rows of the stack and wherever its zero cells lie.
+    The rows with k positive cells are summed together: boolean indexing
+    lists each one's positive terms in table order, k to a row."""
     p = tables.reshape(tables.shape[0], -1)
     pos = p > 0
     q = np.where(pos, p, 1.0)
     terms = q * np.log2(q)
     count = pos.sum(axis=1)
-    if np.all(count == p.shape[1]):
-        return -terms.sum(axis=1)
-    terms = np.take_along_axis(terms, np.argsort(~pos, axis=1, kind="stable"), axis=1)
     out = np.empty(p.shape[0])
     for k in np.unique(count):
         rows = count == k
-        out[rows] = terms[rows, :k].sum(axis=1)
+        out[rows] = terms[pos & rows[:, None]].reshape(-1, k).sum(axis=1)
     return -out
 
 
@@ -211,29 +213,11 @@ class AuxJointDist:
             if np.max(np.abs(s - 1.0)) > NORM_TOL:
                 raise InputError("conditional tables must be row-normalized")
 
-    @property
-    def nq(self) -> int:
-        return self.p_q.shape[0]
-
-    @property
-    def nu(self) -> int:
-        return self.p_uv_x1x2q.shape[3]
-
-    @property
-    def nv(self) -> int:
-        return self.p_uv_x1x2q.shape[4]
-
-    @classmethod
-    def independent_inputs(cls, p1: np.ndarray, p2: np.ndarray) -> "AuxJointDist":
-        """Degenerate Q, U, V with the given product input PMFs."""
-        p1 = np.asarray(p1, dtype=float)
-        p2 = np.asarray(p2, dtype=float)
-        puv = np.ones((1, p1.size, p2.size, 1, 1))
-        return cls(np.array([1.0]), p1[None, :], p2[None, :], puv)
-
     @classmethod
     def uniform(cls, nx1: int, nx2: int) -> "AuxJointDist":
-        return cls.independent_inputs(np.full(nx1, 1 / nx1), np.full(nx2, 1 / nx2))
+        """Degenerate Q, U, V with independent uniform inputs."""
+        return cls(np.array([1.0]), np.full((1, nx1), 1 / nx1),
+                   np.full((1, nx2), 1 / nx2), np.ones((1, nx1, nx2, 1, 1)))
 
 
 AXES7 = ("q", "u", "v", "x1", "x2", "y1", "y2")
@@ -250,19 +234,14 @@ def joint_with_aux(ch: DiscreteIC, dist: AuxJointDist) -> np.ndarray:
     )
 
 
-def outer_constraints(
-    ch: DiscreteIC, dist: AuxJointDist, d12: float | None = None,
-    d21: float | None = None,
-) -> list[RateConstraint]:
-    """The 11 outer-bound constraints evaluated at one auxiliary distribution.
+def outer_constraints(ch: DiscreteIC, dist: AuxJointDist) -> list[RateConstraint]:
+    """The 11 outer-bound constraints evaluated at one auxiliary distribution,
+    with the channel's conference budgets d12 and d21.
 
     The bound proper is a union over all admissible distributions; this is
     the per-distribution kernel.
     """
-    d12 = ch.d12 if d12 is None else d12
-    d21 = ch.d21 if d21 is None else d21
-    if d12 < 0 or d21 < 0:
-        raise InputError("conference capacities must be nonnegative")
+    d12, d21 = ch.d12, ch.d21
     j = joint_with_aux(ch, dist)
 
     def f(a, b, c=()):
@@ -312,20 +291,19 @@ def simplex_grid(dim: int, resolution: int) -> np.ndarray:
     if resolution < 2:
         raise InputError("simplex resolution must be at least 2")
     steps = resolution - 1
-    pts = []
-    for comp in itertools.combinations_with_replacement(range(dim), steps):
-        v = np.zeros(dim)
-        for c in comp:
-            v[c] += 1
-        pts.append(v / steps)
-    return np.array(pts)
+    comps = np.array(list(itertools.combinations_with_replacement(range(dim), steps)))
+    return (comps[:, :, None] == np.arange(dim)).sum(axis=1) / steps
+
+
+def _product_inputs(set1: np.ndarray, set2: np.ndarray):
+    """The pairs of set1 x set2, set1-major, as row-aligned (p1, p2) stacks."""
+    return np.repeat(set1, len(set2), axis=0), np.tile(set2, (len(set1), 1))
 
 
 def _gap_argmin(ch: DiscreteIC, set1: np.ndarray, set2: np.ndarray):
     """Smallest I(x1;y2|x2) - I(x1;y1|x2) over the independent inputs
     set1 x set2, set1-major; the first minimum wins."""
-    p1 = np.repeat(set1, len(set2), axis=0)
-    p2 = np.tile(set2, (len(set1), 1))
+    p1, p2 = _product_inputs(set1, set2)
 
     def block(idx):
         m = _mi_stack(_product_joints(ch, p1[idx], p2[idx]), AXES4,
@@ -366,18 +344,12 @@ def _degraded_given(ch: DiscreteIC, which: str) -> bool:
     """
     w = ch.w if which == "y2" else ch.w.transpose(1, 0, 2, 3)
     lead = w.sum(axis=1)  # P(front output | x1, x2)
-    for x1 in range(w.shape[2]):
-        for yf in range(w.shape[0]):
-            ref = None
-            for x2 in range(w.shape[3]):
-                if lead[yf, x1, x2] <= DEGRADE_TOL:
-                    continue
-                cond = w[yf, :, x1, x2] / lead[yf, x1, x2]
-                if ref is None:
-                    ref = cond
-                elif np.max(np.abs(cond - ref)) > DEGRADE_TOL:
-                    return False
-    return True
+    live = lead > DEGRADE_TOL
+    cond = w / np.where(live, lead, 1.0)[:, None]  # P(back output | front, x1, x2)
+    # each live x2 against the first live x2 of its (front output, x1)
+    first = live.argmax(axis=2)[:, None, :, None]
+    ref = np.take_along_axis(cond, first, axis=3)
+    return not np.any(live[:, None] & (np.abs(cond - ref) > DEGRADE_TOL))
 
 
 def one_sided_factorization(ch: DiscreteIC, tol: float = DEGRADE_TOL) -> bool:
@@ -392,30 +364,18 @@ def one_sided_factorization(ch: DiscreteIC, tol: float = DEGRADE_TOL) -> bool:
 
 def _sample_v_kernels(ch: DiscreteIC, aux_card: int, samples: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """Structured plus Dirichlet-random P(v | x1, x2) kernels, stacked."""
+    """Structured plus Dirichlet-random P(v | x1, x2) kernels, stacked.
+
+    The structured ones are v = x1, v = x2 and v = (x1, x2), each where
+    aux_card can label it, then a constant v: rows of np.eye(aux_card)
+    picked by the label of each (x1, x2)."""
     nx1, nx2 = ch.nx1, ch.nx2
-    kernels = []
-    if aux_card >= nx1:  # v = x1
-        k = np.zeros((nx1, nx2, aux_card))
-        for x1 in range(nx1):
-            k[x1, :, x1] = 1.0
-        kernels.append(k)
-    if aux_card >= nx2:  # v = x2
-        k = np.zeros((nx1, nx2, aux_card))
-        for x2 in range(nx2):
-            k[:, x2, x2] = 1.0
-        kernels.append(k)
-    if aux_card >= nx1 * nx2:  # v = (x1, x2)
-        k = np.zeros((nx1, nx2, aux_card))
-        for x1 in range(nx1):
-            for x2 in range(nx2):
-                k[x1, x2, x1 * nx2 + x2] = 1.0
-        kernels.append(k)
-    k = np.zeros((nx1, nx2, aux_card))
-    k[:, :, 0] = 1.0
-    kernels.append(k)  # degenerate v
+    x1, x2 = np.indices((nx1, nx2))
+    labels = [v for v, card in ((x1, nx1), (x2, nx2), (x1 * nx2 + x2, nx1 * nx2))
+              if aux_card >= card]
+    labels.append(np.zeros_like(x1))
     draws = rng.gamma(1.0, size=(samples, nx1, nx2, aux_card))
-    return np.concatenate([np.stack(kernels),
+    return np.concatenate([np.eye(aux_card)[np.stack(labels)],
                            draws / draws.sum(axis=-1, keepdims=True)])
 
 
@@ -480,8 +440,8 @@ def check_condition(
         lat2 = simplex_grid(ch.nx2, max(3, grid // 4))
         # include the worst product input found by the condition-4 search
         _, p1w, p2w = _input_gap_search(ch, grid, refine=1)
-        probe1 = np.vstack([np.repeat(lat1, len(lat2), axis=0), p1w])
-        probe2 = np.vstack([np.tile(lat2, (len(lat1), 1)), p2w])
+        probe1, probe2 = _product_inputs(lat1, lat2)
+        probe1, probe2 = np.vstack([probe1, p1w]), np.vstack([probe2, p2w])
         kernels = _sample_v_kernels(ch, aux_card, samples, rng)
         n = len(probe1)  # rows run kernel-major: row = kernel * n + probe
 
@@ -516,8 +476,7 @@ def _inner_region(ch: DiscreteIC, d12: float, grid: int,
         raise InputError("grid must be at least 2")
     lat1 = simplex_grid(ch.nx1, grid)
     lat2 = simplex_grid(ch.nx2, grid)
-    p1 = np.repeat(lat1, len(lat2), axis=0)
-    p2 = np.tile(lat2, (len(lat1), 1))
+    p1, p2 = _product_inputs(lat1, lat2)
     if one_sided:
         terms = [(("x1",), ("y1",), ()), (("x2",), ("y2",), ("x1",)),
                  (("x1", "x2"), ("y2",), ())]

@@ -50,13 +50,22 @@ class BoundParams:
 
 
 def _squares(ch: GaussianIC) -> tuple[float, float, float, float, float]:
-    """s11^2, s12^2, s21^2, s22^2 and (s11 s22 - s12 s21)^2; raises on overflow."""
+    """s11^2, s12^2, s21^2, s22^2 and (s11 s22 - s12 s21)^2.
+
+    Raises when they overflow, or when the received powers of x1 and of x2
+    summed over both outputs, (s11^2 + s21^2) p1 and (s12^2 + s22^2) p2, do;
+    each received power s_ij^2 p_j is at most one of those two."""
     try:
-        return (ch.s11**2, ch.s12**2, ch.s21**2, ch.s22**2,
-                (ch.s11 * ch.s22 - ch.s12 * ch.s21) ** 2)
+        sq = (ch.s11**2, ch.s12**2, ch.s21**2, ch.s22**2,
+              (ch.s11 * ch.s22 - ch.s12 * ch.s21) ** 2)
     except OverflowError:
         raise InputError("squared gains overflow: the gains are too large for "
                          "floating point") from None
+    a, b, c, d, _ = sq
+    if not (math.isfinite((a + c) * ch.p1) and math.isfinite((b + d) * ch.p2)):
+        raise InputError("received powers overflow: the gains or powers are too "
+                         "large for floating point")
+    return sq
 
 
 def _rhs_table(ch: GaussianIC, alpha, beta):

@@ -6,8 +6,9 @@ geometry checks go through brute-force membership sampling, the union
 outer bound is maximized cell by cell over the flattened parameter set, a
 cell's sum rate is searched over candidate abscissae instead of read off
 its LP dual, the discrete lattice searches run one lattice point at a
-time, and the cascade capacity evaluators' mutual informations come from
-the covariance oracle instead of closed forms.
+time, the degradedness test loops over symbols, and the cascade capacity
+evaluators' mutual informations come from the covariance oracle instead of
+closed forms.
 """
 
 from __future__ import annotations
@@ -258,6 +259,26 @@ class PointwiseSearchOracle:
             s = min(f(("x1", "x2"), ("y2",)) + d12, f(("x1", "x2"), ("y1",)))
         return [RateConstraint(1, 0, r1, "r1"), RateConstraint(0, 1, r2, "r2"),
                 RateConstraint(1, 1, s, "sum")]
+
+
+def degraded_given_loop(ch: DiscreteIC, which: str) -> bool:
+    """Physical degradedness, one (x1, front output) pair at a time: each
+    live x2's conditional law of the back output must match that of the
+    first live x2 within DEGRADE_TOL."""
+    w = ch.w if which == "y2" else ch.w.transpose(1, 0, 2, 3)
+    lead = w.sum(axis=1)
+    for x1 in range(w.shape[2]):
+        for yf in range(w.shape[0]):
+            ref = None
+            for x2 in range(w.shape[3]):
+                if lead[yf, x1, x2] <= dsc.DEGRADE_TOL:
+                    continue
+                cond = w[yf, :, x1, x2] / lead[yf, x1, x2]
+                if ref is None:
+                    ref = cond
+                elif np.max(np.abs(cond - ref)) > dsc.DEGRADE_TOL:
+                    return False
+    return True
 
 
 def random_discrete(rng: np.random.Generator, shape=(2, 2, 2, 2)) -> DiscreteIC:

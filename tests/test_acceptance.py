@@ -167,10 +167,10 @@ def test_c08_discrete_oracle_equivalence(report):
     w = np.zeros((2, 2, 2, 2))
     for x1, x2 in itertools.product(range(2), repeat=2):
         w[x1, x2, x1, x2] = 1.0
-    ch = DiscreteIC(w)
-    dist = AuxJointDist.uniform(2, 2)
     d12, d21 = 0.25, 0.75
-    cs = outer_constraints(ch, dist, d12=d12, d21=d21)
+    ch = DiscreteIC(w, d12=d12, d21=d21)
+    dist = AuxJointDist.uniform(2, 2)
+    cs = outer_constraints(ch, dist)
     j = joint_with_aux(ch, dist)
     o = lambda a, b, c=(): brute_mi(j, AXES7, a, b, c)
     want = [

@@ -485,6 +485,69 @@ def test_inner_exit_code_matrix(tmp_path, runner, spec, theorem, with_out, force
     assert hashlib.sha256(body).hexdigest()[:16] == digest
 
 
+# ------------------------------------------------ check digest matrix
+
+def random_discrete_doc(seed, shape, zero_frac=0.0, d12=0.3):
+    """Seeded random channel; a share ``zero_frac`` of its entries set to 0."""
+    rng = np.random.default_rng(seed)
+    w = rng.gamma(1.0, size=shape)
+    w[rng.random(shape) < zero_frac] = 0.0
+    w[0, 0] += 1e-3  # every input keeps some mass
+    w /= w.sum(axis=(0, 1), keepdims=True)
+    ny1, ny2, nx1, nx2 = shape
+    return {"type": "discrete", "ny1": ny1, "ny2": ny2, "nx1": nx1, "nx2": nx2,
+            "w": [float(v) for v in w.reshape(-1)], "d12": d12}
+
+
+CHECK_SPECS = {
+    "binary": (discrete_doc(), 9),
+    "one-sided": (one_sided_discrete_doc(), 9),
+    "ternary": (random_discrete_doc(61, (3, 3, 3, 3)), 5),
+    "2x3": (random_discrete_doc(62, (3, 2, 2, 3)), 7),
+    "zero-entry": (random_discrete_doc(63, (3, 2, 3, 2), zero_frac=0.4), 7),
+}
+
+# (spec, condition) -> (exit code, sha256 prefix of the printed JSON), at
+# the spec's grid with 30 condition-7 samples.  Condition 14 needs a
+# one-sided channel and exits 2 on the others.
+CHECK_MATRIX = {
+    ("binary", "4"): (0, "45b3036e21ced848"),
+    ("binary", "7"): (0, "317ee2df5717bc1e"),
+    ("binary", "11"): (0, "14ca893a449a6eba"),
+    ("binary", "14"): (2, ""),
+    ("one-sided", "4"): (0, "ce44ca924d377009"),
+    ("one-sided", "7"): (0, "60adb038f47d9460"),
+    ("one-sided", "11"): (0, "c5861e0c22cd2908"),
+    ("one-sided", "14"): (0, "c5861e0c22cd2908"),
+    ("ternary", "4"): (0, "b60754c85da1f0eb"),
+    ("ternary", "7"): (0, "88fe9fb8c4635b78"),
+    ("ternary", "11"): (0, "b60754c85da1f0eb"),
+    ("ternary", "14"): (2, ""),
+    ("2x3", "4"): (0, "b0d04a354b923531"),
+    ("2x3", "7"): (0, "afaa1d692f1ce208"),
+    ("2x3", "11"): (0, "b0d04a354b923531"),
+    ("2x3", "14"): (2, ""),
+    ("zero-entry", "4"): (0, "4d0341eb9bc42d7c"),
+    ("zero-entry", "7"): (0, "ba03c6840fa2493b"),
+    ("zero-entry", "11"): (0, "4d0341eb9bc42d7c"),
+    ("zero-entry", "14"): (2, ""),
+}
+
+
+@pytest.mark.parametrize("spec, condition", sorted(CHECK_MATRIX))
+def test_check_digest_matrix(tmp_path, runner, spec, condition):
+    code, digest = CHECK_MATRIX[spec, condition]
+    doc, grid = CHECK_SPECS[spec]
+    path = write_json(tmp_path / f"{spec}.json", doc)
+    res = runner.invoke(main, ["check", "--channel", path, "--condition", condition,
+                               "--grid", str(grid), "--samples", "30", "--seed", "1"])
+    assert res.exit_code == code, res.output
+    if code != 0:
+        assert res.stdout == ""
+        return
+    assert hashlib.sha256(res.stdout.encode()).hexdigest()[:16] == digest
+
+
 # ------------------------------------ overflowing and malformed inputs
 
 def sim_config(**kw):
@@ -499,6 +562,11 @@ ONE_SIDED_OVERFLOW = gaussian_doc(s11=1e200, s12=0.0, s21=2e200, s22=1.0, p1=1.0
                                   p2=1.0, d12=0.1, d21=0.0)
 DET_OVERFLOW = gaussian_doc(s11=1e80, s12=3e80, s21=2e80, s22=1e80, p1=1.0,
                             p2=1.0, d12=0.1, d21=0.2)
+# squared gains that fit, received powers (s11^2 + s21^2) p1 that do not
+POWER_OVERFLOW = gaussian_doc(s11=1e150, s12=0.0, s21=2e150, s22=1.0, p1=1e100,
+                              p2=1.0, d12=0.1, d21=0.0)
+NAN_CASCADE = {"type": "gaussian-6", "s11": float("nan"), "s12": 1.0, "s21": 2.0,
+               "s22": 0.9, "p1": 1.0, "p2": 1.0, "d12": 0.3}
 ROGUE_INPUTS = {
     # case: (command, document, exit code, text the output must hold)
     "cascade-thm2": ("inner2", CASCADE_OVERFLOW, 2, "received powers overflow"),
@@ -508,6 +576,14 @@ ROGUE_INPUTS = {
     "one-sided-outer": ("outer", ONE_SIDED_OVERFLOW, 2, "squared gains overflow"),
     "one-sided-thm5": ("inner5", ONE_SIDED_OVERFLOW, 2, "received powers overflow"),
     "det-outer": ("outer", DET_OVERFLOW, 2, "squared gains overflow"),
+    "power-outer": ("outer", POWER_OVERFLOW, 2, "received powers overflow"),
+    "power-outer-grid11": ("outer11", POWER_OVERFLOW, 2, "received powers overflow"),
+    # classify reads the full spec, as every other command does
+    "classify-nan": ("classify", NAN_CASCADE, 2, "must be finite"),
+    "classify-no-power": ("classify", {k: v for k, v in CASCADE_OVERFLOW.items()
+                                       if k != "p1"}, 2, "missing field 'p1'"),
+    "classify-d21": ("classify", {**cascade_doc("gaussian-6", 2.0, 1.0, 2.0, 0.9),
+                                  "d21": 0.5}, 2, "one-directional"),
     "discrete-d12-check": ("check", discrete_doc(d12="x"), 2, "bad discrete"),
     "discrete-d12-inner": ("inner2", discrete_doc(d12="x"), 2, "bad discrete"),
     "discrete-dims-check": ("check", {**discrete_doc(), "ny1": -2, "ny2": -2}, 2,
@@ -532,6 +608,8 @@ ROGUE_ARGS = {
     "inner3": ["inner", "--theorem", "3"],
     "inner5": ["inner", "--theorem", "5", "--out", "{out}"],
     "outer": ["outer", "--grid", "5", "--out", "{out}"],
+    "outer11": ["outer", "--grid", "11", "--out", "{out}"],
+    "classify": ["classify"],
     "check": ["check", "--condition", "4", "--grid", "5"],
     "simulate": ["simulate"],
 }

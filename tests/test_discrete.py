@@ -27,6 +27,7 @@ from conftest import (
     PointwiseSearchOracle,
     brute_mi,
     constant_output_channel,
+    degraded_given_loop,
     h2,
     orthogonal_channel,
     random_discrete,
@@ -125,8 +126,8 @@ def test_mi_validation():
 
 
 def test_outer_constraints_orthogonal_channel():
-    ch = orthogonal_channel()
-    cs = outer_constraints(ch, AuxJointDist.uniform(2, 2), d12=0.25, d21=0.75)
+    ch = orthogonal_channel(d12=0.25, d21=0.75)
+    cs = outer_constraints(ch, AuxJointDist.uniform(2, 2))
     assert len(cs) == 11
     assert cs[0].rhs == pytest.approx(1.75, abs=1e-12)   # 1 + d21
     assert cs[3].rhs == pytest.approx(1.25, abs=1e-12)   # 1 + d12
@@ -134,8 +135,8 @@ def test_outer_constraints_orthogonal_channel():
 
 
 def test_outer_constraints_constant_outputs():
-    ch = constant_output_channel()
-    cs = outer_constraints(ch, AuxJointDist.uniform(2, 2), d12=0.4, d21=0.7)
+    ch = DiscreteIC(constant_output_channel().w, d12=0.4, d21=0.7)
+    cs = outer_constraints(ch, AuxJointDist.uniform(2, 2))
     assert cs[0].rhs == pytest.approx(0.7)
     assert cs[1].rhs == 0.0  # no conference term: rate pinned to zero
     assert cs[3].rhs == pytest.approx(0.4)
@@ -144,15 +145,16 @@ def test_outer_constraints_constant_outputs():
 
 
 def test_outer_constraints_frozen_logic_values():
-    cs = outer_constraints(logic_channel(), logic_dist(), d12=0.25, d21=0.5)
+    ch = DiscreteIC(logic_channel().w, d12=0.25, d21=0.5)
+    cs = outer_constraints(ch, logic_dist())
     got = [c.rhs for c in cs]
     assert np.allclose(got, FROZEN_LOGIC_RHS, atol=1e-10)
 
 
 def test_outer_constraints_match_oracle(rng):
-    ch = random_discrete(rng)
+    ch = DiscreteIC(random_discrete(rng).w, d12=0.3, d21=0.6)
     dist = logic_dist()
-    cs = outer_constraints(ch, dist, d12=0.3, d21=0.6)
+    cs = outer_constraints(ch, dist)
     j = np.einsum("q,qa,qb,qabuv,cdab->quvabcd", dist.p_q, dist.p_x1_q,
                   dist.p_x2_q, dist.p_uv_x1x2q, ch.w)
     axes = ("q", "u", "v", "x1", "x2", "y1", "y2")
@@ -166,10 +168,10 @@ def test_outer_constraints_match_oracle(rng):
 
 
 def test_outer_constraints_monotone_in_conference(rng):
-    ch = random_discrete(rng)
+    w = random_discrete(rng).w
     dist = AuxJointDist.uniform(2, 2)
-    lo = outer_constraints(ch, dist, d12=0.2, d21=0.1)
-    hi = outer_constraints(ch, dist, d12=0.7, d21=0.9)
+    lo = outer_constraints(DiscreteIC(w, d12=0.2, d21=0.1), dist)
+    hi = outer_constraints(DiscreteIC(w, d12=0.7, d21=0.9), dist)
     for a, b in zip(lo, hi):
         assert b.rhs >= a.rhs - 1e-12
         assert a.rhs >= 0.0
@@ -336,6 +338,16 @@ def test_simplex_grid():
     assert np.allclose(g3.sum(axis=1), 1.0)
     with pytest.raises(InputError):
         simplex_grid(2, 1)
+    # the same points in the same order as counting each combination's
+    # symbols one at a time
+    for dim, res in itertools.product(range(1, 5), range(2, 10)):
+        want = []
+        for comp in itertools.combinations_with_replacement(range(dim), res - 1):
+            v = np.zeros(dim)
+            for c in comp:
+                v[c] += 1
+            want.append(v / (res - 1))
+        assert np.array_equal(simplex_grid(dim, res), np.array(want))
 
 
 def test_aux_dist_validation():
@@ -357,6 +369,20 @@ def constant_channel(k: int) -> DiscreteIC:
     w = np.zeros((2, 2, k, k))
     w[0, 0] = 1.0
     return DiscreteIC(w)
+
+
+def degraded_channel(rng, ny1, ny2, nx1, nx2, dead=()) -> DiscreteIC:
+    """y1 from (x1, x2), then y2 from (y1, x1) alone: y2 is physically
+    degraded with respect to y1 given x1.  Each (y1, x1) in ``dead`` gets no
+    mass at x2 = 0."""
+    front = rng.gamma(1.0, size=(ny1, nx1, nx2))
+    for y1, x1 in dead:
+        front[y1, x1, 0] = 0.0
+    front /= front.sum(axis=0, keepdims=True)
+    back = rng.gamma(1.0, size=(ny2, ny1, nx1))
+    back /= back.sum(axis=0, keepdims=True)
+    w = np.einsum("cab,dca->cdab", front, back)
+    return DiscreteIC(w / w.sum(axis=(0, 1), keepdims=True))
 
 
 def zero_entry_channel(rng, shape) -> DiscreteIC:
@@ -504,15 +530,27 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
-@pytest.mark.parametrize("shape", [(2, 3, 2, 2), (3, 2, 2, 3, 2)])
-def test_mi_stack_matches_brute_force(rng, shape):
+# zeros: every table may have zero cells; positive: no table has one;
+# mixed: odd tables have zero cells, even ones none
+@pytest.mark.parametrize("shape, zeros", [
+    ((2, 3, 2, 2), "zeros"), ((3, 2, 2, 3, 2), "zeros"),
+    ((2, 3, 2, 2), "positive"), ((3, 2, 2, 3, 2), "mixed"),
+], ids=["shape0", "shape1", "all-positive", "mixed"])
+def test_mi_stack_matches_brute_force(rng, shape, zeros):
     axes = tuple("abcde"[:len(shape)])
     stack = rng.gamma(0.8, size=(40,) + shape)
-    stack[rng.random(stack.shape) < 0.35] = 0.0
-    stack[:, (0,) * len(shape)] += 1e-3
-    stack[3] = 0.0
-    stack[3][(1,) * len(shape)] = 1.0  # a point mass
+    if zeros != "positive":
+        drop = rng.random(stack.shape) < 0.35
+        if zeros == "mixed":
+            drop[::2] = False
+        stack[drop] = 0.0
+        stack[:, (0,) * len(shape)] += 1e-3
+        stack[3] = 0.0
+        stack[3][(1,) * len(shape)] = 1.0  # a point mass
     stack /= stack.sum(axis=tuple(range(1, stack.ndim)), keepdims=True)
+    has_zero = np.any(stack.reshape(len(stack), -1) == 0, axis=1)
+    assert has_zero[1::2].any() == (zeros != "positive")
+    assert has_zero[::2].any() == (zeros == "zeros")
     terms = [(("a",), ("b",), ()), (("a", "c"), ("d",), ()),
              (("a",), ("b",), ("c",)), (("b",), ("a", "d"), ("c",)),
              (("d",), ("b",), ("a", "c"))]
@@ -529,3 +567,78 @@ def test_mi_stack_matches_brute_force(rng, shape):
             # is 0 (rounding noise in a CSV) do not change with the batching
             assert got[k, n] == mi(table, axes, a, b, c)
             assert got[k, n] == per_table_mi(table, axes, a, b, c)
+
+
+def degradedness_channels():
+    rng = np.random.default_rng(4242)
+    chans = [(f"random-{i}", random_discrete(rng, shape)) for i, shape in
+             enumerate([(2, 2, 2, 2), (3, 3, 3, 3), (3, 2, 2, 3)])]
+    chans += [(f"zero-entries-{i}", zero_entry_channel(rng, shape)) for i, shape in
+              enumerate([(2, 2, 2, 2), (3, 3, 3, 3), (2, 3, 3, 2)])]
+    chans += [("one-sided-bin", one_sided_channel(rng, 2)),
+              ("one-sided-tern", one_sided_channel(rng, 3)),
+              ("copy", copy_channel()), ("constant", constant_output_channel()),
+              ("xor-copy", xor_copy_channel()),
+              ("degraded", degraded_channel(rng, 3, 2, 2, 3)),
+              # the first x2 carries no mass at (y1, x1) = (0, 0) and (2, 1),
+              # so the reference there is the second x2
+              ("degraded-dead-first", degraded_channel(rng, 3, 2, 2, 3,
+                                                       dead=[(0, 0), (2, 1)]))]
+    # the same with a dead cell given mass below DEGRADE_TOL and another
+    # back law: it must still pass, since such an x2 is never compared
+    ch = chans[-1][1]
+    w = ch.w.copy()
+    w[0, 0, 0, 0] = 1e-10
+    w[1, 0, 0, 0] -= 1e-10
+    chans.append(("degraded-dead-first-noise", DiscreteIC(w)))
+    # break degradedness at one live x2 only
+    w = ch.w.copy()
+    w[1, :, 1, 2] = w[1, ::-1, 1, 2]
+    chans.append(("degraded-broken", DiscreteIC(w)))
+    return chans
+
+
+DEGRADEDNESS_CHANNELS = degradedness_channels()
+
+
+@pytest.mark.parametrize("name, ch", DEGRADEDNESS_CHANNELS,
+                         ids=[c[0] for c in DEGRADEDNESS_CHANNELS])
+def test_degraded_given_matches_loop(name, ch):
+    for which in ("y1", "y2"):
+        assert dsc._degraded_given(ch, which) == degraded_given_loop(ch, which)
+    if name in ("degraded", "degraded-dead-first", "degraded-dead-first-noise",
+                "copy", "constant"):
+        assert dsc._degraded_given(ch, "y2")
+    if name == "degraded-broken":
+        assert not dsc._degraded_given(ch, "y2")
+
+
+@pytest.mark.parametrize("aux_card", [2, 3, 6])
+def test_structured_v_kernels_on_2x3_channel(aux_card):
+    # v = x1 needs 2 labels, v = x2 needs 3 and v = (x1, x2) needs 6; the
+    # constant v comes last, then the Dirichlet draws
+    ch = random_discrete(np.random.default_rng(9), (2, 2, 2, 3))
+    want = []
+    if aux_card >= 2:
+        k = np.zeros((2, 3, aux_card))
+        for x1 in range(2):
+            k[x1, :, x1] = 1.0
+        want.append(k)
+    if aux_card >= 3:
+        k = np.zeros((2, 3, aux_card))
+        for x2 in range(3):
+            k[:, x2, x2] = 1.0
+        want.append(k)
+    if aux_card >= 6:
+        k = np.zeros((2, 3, aux_card))
+        for x1, x2 in itertools.product(range(2), range(3)):
+            k[x1, x2, 3 * x1 + x2] = 1.0
+        want.append(k)
+    k = np.zeros((2, 3, aux_card))
+    k[:, :, 0] = 1.0
+    want.append(k)
+    got = dsc._sample_v_kernels(ch, aux_card, 5, np.random.default_rng(1))
+    assert len(got) == len(want) + 5 == {2: 7, 3: 8, 6: 9}[aux_card]
+    assert np.array_equal(got[:len(want)], np.stack(want))
+    draws = np.random.default_rng(1).gamma(1.0, size=(5, 2, 3, aux_card))
+    assert np.array_equal(got[len(want):], draws / draws.sum(axis=-1, keepdims=True))
