@@ -73,12 +73,24 @@ def _float_field(doc: dict, key: str, default=None) -> float:
         return float(doc[key])
     except (TypeError, ValueError):
         raise InputError(f"field {key!r} must be a number") from None
+    except OverflowError:
+        raise InputError(f"field {key!r} must be finite") from None
 
 
 def _int_field(doc: dict, key: str, default=None) -> int:
+    """A JSON integer as it is, or a float that is integral and below 2^53
+    in magnitude, where each float stands for one integer exactly."""
+    value = doc.get(key, default)
+    if isinstance(value, int) and not isinstance(value, bool):
+        if abs(value) > sys.float_info.max:
+            raise InputError(f"field {key!r} must be finite")
+        return value
     value = _float_field(doc, key, default)
     if not math.isfinite(value):
         raise InputError(f"field {key!r} must be finite")
+    if not value.is_integer() or abs(value) >= 2.0**53:
+        raise InputError(f"field {key!r} must be an integer (a float must be "
+                         "integral and below 2^53 in magnitude)")
     return int(value)
 
 

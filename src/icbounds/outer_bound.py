@@ -54,17 +54,29 @@ def _squares(ch: GaussianIC) -> tuple[float, float, float, float, float]:
 
     Raises when they overflow, or when the received powers of x1 and of x2
     summed over both outputs, (s11^2 + s21^2) p1 and (s12^2 + s22^2) p2, do;
-    each received power s_ij^2 p_j is at most one of those two."""
+    each received power s_ij^2 p_j is at most one of those two.  Raises too
+    when a product of received powers that ``_rhs_table`` or
+    ``_cliff_alpha`` forms does: with alpha, beta <= 1 and snr <= a p1 +
+    b p2 none exceeds the bounds checked here."""
     try:
         sq = (ch.s11**2, ch.s12**2, ch.s21**2, ch.s22**2,
               (ch.s11 * ch.s22 - ch.s12 * ch.s21) ** 2)
     except OverflowError:
         raise InputError("squared gains overflow: the gains are too large for "
                          "floating point") from None
-    a, b, c, d, _ = sq
-    if not (math.isfinite((a + c) * ch.p1) and math.isfinite((b + d) * ch.p2)):
+    a, b, c, d, det2 = sq
+    x1, x2 = (a + c) * ch.p1, (b + d) * ch.p2
+    if not (math.isfinite(x1) and math.isfinite(x2)):
         raise InputError("received powers overflow: the gains or powers are too "
                          "large for floating point")
+    products = (
+        (x1 + 1) * (x2 + 1),       # k13's and k14's denominators
+        x2 * (x1 + x2 + 1),        # b p2 (snr + 1) in _cliff_alpha
+        x1 + x2 + det2 * ch.p1 * ch.p2,  # k9's and k15's SNR sums
+    )
+    if not all(map(math.isfinite, products)):
+        raise InputError("products of received powers overflow: the gains or "
+                         "powers are too large for floating point")
     return sq
 
 

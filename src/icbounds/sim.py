@@ -13,8 +13,8 @@ receiver 1 to receiver 2 with budget d12:
 
 ML replaces joint-typicality decoding (strictly better, tractable at this
 scale).  Codebooks are i.i.d. from the input PMFs with duplicate codewords
-resampled while the message count is small relative to the sequence space,
-so noiseless channels decode without finite-codebook collision artifacts.
+resampled when the message count is at most half the sequence space, so
+noiseless channels decode without finite-codebook collision artifacts.
 Per-trial randomness comes from a counter-based generator keyed by
 (seed, trial), making results independent of trial evaluation order.
 """
@@ -170,9 +170,15 @@ def _draw_codebook(rng: np.random.Generator, count: int, n: int,
     cb = rng.choice(pmf.size, size=(count, n), p=pmf)
     space = float(pmf[pmf > 0].size) ** n
     if count <= space / 2:
+        # Each row's bytes are its key; unique's sort is stable, so the
+        # first of equal rows is kept.  An integer key sum_t x_t |X|^t would
+        # wrap modulo 2^64 once n log2|X| > 63, and wrapped keys collide.
+        keys = cb.view(np.dtype((np.void, cb.itemsize * n))).ravel()
         for _ in range(_DEDUP_PASSES):
-            _, first = np.unique(cb, axis=0, return_index=True)
-            dup = np.setdiff1d(np.arange(count), first, assume_unique=False)
+            _, first = np.unique(keys, return_index=True)
+            fresh = np.zeros(count, dtype=bool)
+            fresh[first] = True
+            dup = np.flatnonzero(~fresh)
             if dup.size == 0:
                 break
             cb[dup] = rng.choice(pmf.size, size=(dup.size, n), p=pmf)
@@ -189,11 +195,19 @@ def _transmit(rng: np.random.Generator, pre: _Precomp,
 
 def _pair_loglik(log_w: np.ndarray, y: np.ndarray,
                  cb_a: np.ndarray, cb_b: np.ndarray) -> np.ndarray:
-    """Sum_t log w[y_t, a_t, b_t] for every codeword pair (a, b)."""
-    total = np.zeros((cb_a.shape[0], cb_b.shape[0]))
+    """Sum_t log w[y_t, a_t, b_t] for every codeword pair (a, b).
+
+    Each cell starts at 0.0 and adds its terms in t order.  That order is
+    part of the output: it decides which of two near-equal cells is larger,
+    so a matmul or a sum over a gathered stack, which reorder the additions,
+    can flip the callers' argmax.  The sum is held as (b, a) so that each
+    step gathers whole rows; the returned (a, b) view keeps argmax's scan,
+    and so its tie-breaking, in (a, b) order.
+    """
+    total = np.zeros((cb_b.shape[0], cb_a.shape[0]))
     for t in range(y.size):
-        total += log_w[y[t]][cb_a[:, t]][:, cb_b[:, t]]
-    return total
+        total += log_w[y[t]].T[:, cb_a[:, t]][cb_b[:, t]]
+    return total.T
 
 
 def _run_trial(cfg: SimConfig, pre: _Precomp, trial: int) -> tuple[bool, bool]:

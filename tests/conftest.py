@@ -6,9 +6,10 @@ geometry checks go through brute-force membership sampling, the union
 outer bound is maximized cell by cell over the flattened parameter set, a
 cell's sum rate is searched over candidate abscissae instead of read off
 its LP dual, the discrete lattice searches run one lattice point at a
-time, the degradedness test loops over symbols, and the cascade capacity
+time, the degradedness test loops over symbols, the cascade capacity
 evaluators' mutual informations come from the covariance oracle instead of
-closed forms.
+closed forms, and the simulator's pair log-likelihoods and codebook
+de-duplication run as first written (column gathers, row-wise ``np.unique``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 from icbounds import DiscreteIC, GaussianIC, mi
 from icbounds import discrete as dsc
 from icbounds import outer_bound as ob
+from icbounds import sim
 from icbounds.gaussian import GaussianSystem
 from icbounds.regions import RateConstraint, from_constraints, hull_of_points
 
@@ -279,6 +281,29 @@ def degraded_given_loop(ch: DiscreteIC, which: str) -> bool:
                 elif np.max(np.abs(cond - ref)) > dsc.DEGRADE_TOL:
                     return False
     return True
+
+
+def pair_loglik_columns(log_w, y, cb_a, cb_b) -> np.ndarray:
+    """Sum_t log w[y_t, a_t, b_t] over an (m_a, m_b) block, column-gathered."""
+    total = np.zeros((cb_a.shape[0], cb_b.shape[0]))
+    for t in range(y.size):
+        total += log_w[y[t]][cb_a[:, t]][:, cb_b[:, t]]
+    return total
+
+
+def draw_codebook_rowwise(rng, count, n, pmf) -> np.ndarray:
+    """i.i.d. codebook; duplicates found by ``np.unique(axis=0)`` and
+    ``np.setdiff1d`` and redrawn while count <= space / 2."""
+    cb = rng.choice(pmf.size, size=(count, n), p=pmf)
+    space = float(pmf[pmf > 0].size) ** n
+    if count <= space / 2:
+        for _ in range(sim._DEDUP_PASSES):
+            _, first = np.unique(cb, axis=0, return_index=True)
+            dup = np.setdiff1d(np.arange(count), first, assume_unique=False)
+            if dup.size == 0:
+                break
+            cb[dup] = rng.choice(pmf.size, size=(dup.size, n), p=pmf)
+    return cb
 
 
 def random_discrete(rng: np.random.Generator, shape=(2, 2, 2, 2)) -> DiscreteIC:

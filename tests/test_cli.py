@@ -310,13 +310,8 @@ def test_simulate_outputs_json(tmp_path, runner):
 
 
 def test_simulate_noiseless_orthogonal(tmp_path, runner):
-    w = np.zeros((2, 2, 2, 2))
-    for x1, x2 in itertools.product(range(2), repeat=2):
-        w[x1, x2, x1, x2] = 1.0
-    cfg = {"channel": {"type": "discrete", "ny1": 2, "ny2": 2, "nx1": 2,
-                       "nx2": 2, "w": [float(v) for v in w.reshape(-1)]},
-           "n": 8, "r1": 0.5, "r2": 0.5, "d12": 0.0, "scheme": "thm2",
-           "trials": 200, "seed": 5}
+    cfg = {"channel": orthogonal_doc(), "n": 8, "r1": 0.5, "r2": 0.5,
+           "d12": 0.0, "scheme": "thm2", "trials": 200, "seed": 5}
     spec = write_json(tmp_path / "cfg.json", cfg)
     doc = json.loads(runner.invoke(main, ["simulate", "--config", spec]).output)
     assert doc["err1"] == 0.0 and doc["err2"] == 0.0
@@ -548,7 +543,7 @@ def test_check_digest_matrix(tmp_path, runner, spec, condition):
     assert hashlib.sha256(res.stdout.encode()).hexdigest()[:16] == digest
 
 
-# ------------------------------------ overflowing and malformed inputs
+# ------------------------------------------------ simulate digest matrix
 
 def sim_config(**kw):
     cfg = {"channel": discrete_doc(), "n": 4, "r1": 0.25, "r2": 0.25,
@@ -556,6 +551,68 @@ def sim_config(**kw):
     cfg.update(kw)
     return cfg
 
+
+def orthogonal_doc():
+    """y1 = x1, y2 = x2, both noiseless."""
+    w = np.zeros((2, 2, 2, 2))
+    for x1, x2 in itertools.product(range(2), repeat=2):
+        w[x1, x2, x1, x2] = 1.0
+    return {"type": "discrete", "ny1": 2, "ny2": 2, "nx1": 2, "nx2": 2,
+            "w": [float(v) for v in w.reshape(-1)]}
+
+
+TERNARY_SIM = random_discrete_doc(71, (3, 3, 3, 3), zero_frac=0.3)
+SIM_SPECS = {
+    "xor-thm2": sim_config(n=12, r1=0.5, r2=0.5, trials=60, seed=11),
+    "xor-thm4": sim_config(n=10, r1=0.5, r2=0.4, d12=0.3, scheme="thm4",
+                           trials=60, seed=12),
+    "orth-thm2": sim_config(channel=orthogonal_doc(), n=8, r1=0.5, r2=0.75,
+                            d12=0.25, trials=60, seed=13),
+    "orth-thm4": sim_config(channel=orthogonal_doc(), n=8, r1=0.75, r2=0.5,
+                            d12=0.25, scheme="thm4", trials=60, seed=14),
+    "tern-thm2": sim_config(channel=TERNARY_SIM, n=6, r1=0.8, r2=0.7, d12=0.4,
+                            trials=40, seed=15),
+    "tern-thm4": sim_config(channel=TERNARY_SIM, n=6, r1=0.7, r2=0.8, d12=0.4,
+                            scheme="thm4", trials=40, seed=16),
+    # 2^5 messages on 2^5 sequences: more than half the space, no resampling
+    "overloaded": sim_config(n=5, r1=1.0, r2=0.6, trials=60, seed=17),
+    "one-cell": sim_config(channel=TERNARY_SIM, n=6, r1=0.6, r2=0.6, d12=0.0,
+                           trials=40, seed=18),
+    "singleton-cells": sim_config(channel=TERNARY_SIM, n=6, r1=0.6, r2=0.6,
+                                  d12=1.0, scheme="thm4", trials=40, seed=19),
+    "m256": sim_config(n=16, r1=0.5, r2=0.5, trials=8, seed=20),
+    "p1-zero-mass": sim_config(channel=TERNARY_SIM, n=7, r1=0.6, r2=0.6,
+                               d12=0.3, trials=40, seed=21,
+                               p1=[0.5, 0.0, 0.5]),
+}
+
+# spec -> sha256 prefix of the printed JSON, generated before the
+# simulator's de-duplication and pair log-likelihoods were rewritten: the
+# rewrite had to keep every random draw and every argmax decision.
+SIM_MATRIX = {
+    "m256": "62e9a5865a1c919f",
+    "one-cell": "a57826f7bfd723fa",
+    "orth-thm2": "cc0a375a0cec64d9",
+    "orth-thm4": "86c7fece6026ac62",
+    "overloaded": "76579190cd2420c9",
+    "p1-zero-mass": "db24f86fd4a25005",
+    "singleton-cells": "4613758ba6945fce",
+    "tern-thm2": "4146758d5d638257",
+    "tern-thm4": "5352680861bed80c",
+    "xor-thm2": "8d48f91c9942e5d2",
+    "xor-thm4": "4c1a90433aa3d67e",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SIM_SPECS))
+def test_simulate_digest_matrix(tmp_path, runner, spec):
+    path = write_json(tmp_path / f"{spec}.json", SIM_SPECS[spec])
+    res = runner.invoke(main, ["simulate", "--config", path])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout.encode()).hexdigest()[:16] == SIM_MATRIX[spec]
+
+
+# ------------------------------------ overflowing and malformed inputs
 
 CASCADE_OVERFLOW = cascade_doc("gaussian-6", 2.0, 1.0, 1.0, 1e200)
 ONE_SIDED_OVERFLOW = gaussian_doc(s11=1e200, s12=0.0, s21=2e200, s22=1.0, p1=1.0,
@@ -565,6 +622,10 @@ DET_OVERFLOW = gaussian_doc(s11=1e80, s12=3e80, s21=2e80, s22=1e80, p1=1.0,
 # squared gains that fit, received powers (s11^2 + s21^2) p1 that do not
 POWER_OVERFLOW = gaussian_doc(s11=1e150, s12=0.0, s21=2e150, s22=1.0, p1=1e100,
                               p2=1.0, d12=0.1, d21=0.0)
+# received powers that fit, products of them (k13, k14, the alpha cliffs)
+# that do not
+PRODUCT_OVERFLOW = gaussian_doc(s11=1e70, s12=1e70, s21=2e70, s22=3e70, p1=1e20,
+                                p2=1e20, d12=0.1, d21=0.0)
 NAN_CASCADE = {"type": "gaussian-6", "s11": float("nan"), "s12": 1.0, "s21": 2.0,
                "s22": 0.9, "p1": 1.0, "p2": 1.0, "d12": 0.3}
 ROGUE_INPUTS = {
@@ -578,6 +639,8 @@ ROGUE_INPUTS = {
     "det-outer": ("outer", DET_OVERFLOW, 2, "squared gains overflow"),
     "power-outer": ("outer", POWER_OVERFLOW, 2, "received powers overflow"),
     "power-outer-grid11": ("outer11", POWER_OVERFLOW, 2, "received powers overflow"),
+    "product-outer": ("outer", PRODUCT_OVERFLOW, 2,
+                      "products of received powers overflow"),
     # classify reads the full spec, as every other command does
     "classify-nan": ("classify", NAN_CASCADE, 2, "must be finite"),
     "classify-no-power": ("classify", {k: v for k, v in CASCADE_OVERFLOW.items()
@@ -601,6 +664,16 @@ ROGUE_INPUTS = {
     "sim-r2-inf": ("simulate", sim_config(r2=float("inf")), 2, "finite"),
     "sim-p1-text": ("simulate", sim_config(p1="x"), 2, "'p1' and"),
     "sim-p1-nan": ("simulate", sim_config(p1=[float("nan"), 1.0]), 2, "PMF"),
+    "sim-n-fraction": ("simulate", sim_config(n=8.9), 2, "must be an integer"),
+    "sim-trials-fraction": ("simulate", sim_config(trials=20.7), 2,
+                            "must be an integer"),
+    "sim-seed-fraction": ("simulate", sim_config(seed=7.5), 2, "must be an integer"),
+    # 2^53 + 1 as a JSON float reads as 2^53, which would alias two seeds
+    "sim-seed-float-2^53": ("simulate", sim_config(seed=float(2**53 + 1)), 2,
+                            "must be an integer"),
+    "sim-seed-1e300": ("simulate", sim_config(seed=1e300), 2, "must be an integer"),
+    "sim-n-bigint": ("simulate", sim_config(n=10**400), 2, "must be finite"),
+    "sim-r1-bigint": ("simulate", sim_config(r1=10**400), 2, "must be finite"),
 }
 ROGUE_ARGS = {
     "inner2": ["inner", "--theorem", "2", "--grid", "5", "--out", "{out}"],
@@ -630,3 +703,24 @@ def test_rogue_inputs_exit_cleanly(tmp_path, runner, case):
         doc = json.loads(res.stdout)
         # the budget exceeds the rate: each of the 2 messages is its own cell
         assert (doc["cell_count"], doc["per_cell"], doc["trials"]) == (2, 1, 5)
+
+
+@pytest.mark.parametrize("seed", [2**53, 2**53 + 1, 2**64 + 7])
+def test_simulate_echoes_large_integer_seed(tmp_path, runner, seed):
+    path = write_json(tmp_path / "cfg.json", sim_config(seed=seed))
+    res = runner.invoke(main, ["simulate", "--config", path])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["seed"] == seed
+    assert f'"seed": {seed},' in res.stdout
+
+
+def test_simulate_accepts_integral_floats(tmp_path, runner):
+    docs = [sim_config(n=8, trials=20, seed=7),
+            sim_config(n=8.0, trials=20.0, seed=7.0)]
+    outs = []
+    for i, doc in enumerate(docs):
+        res = runner.invoke(main, ["simulate", "--config",
+                                   write_json(tmp_path / f"{i}.json", doc)])
+        assert res.exit_code == 0, res.output
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]

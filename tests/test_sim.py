@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from icbounds import CellPartition, DiscreteIC, SimConfig, simulate
 from icbounds.errors import InputError, ResourceLimitError
-from icbounds.sim import _Precomp, _run_trial
+from icbounds.sim import _draw_codebook, _pair_loglik, _Precomp, _run_trial
 
-from conftest import orthogonal_channel, xor_copy_channel
+from conftest import (draw_codebook_rowwise, orthogonal_channel,
+                      pair_loglik_columns, xor_copy_channel)
 
 
 def test_partition_degenerate_ends():
@@ -156,3 +157,122 @@ def test_error_decays_with_blocklength():
         assert res.effective_rates == (0.25, 0.25)
     for a, b in zip(errs, errs[1:]):
         assert b.err1 <= a.err1 + a.err1_ci95 + b.err1_ci95
+
+
+# ------------------------------------------ hot routines against oracles
+
+def _log_w(rng, ny, na, nb, zero_frac):
+    w = rng.gamma(1.0, size=(ny, na, nb))
+    w[rng.random(w.shape) < zero_frac] = 0.0
+    w[0] += 1e-3
+    w /= w.sum(axis=0, keepdims=True)
+    with np.errstate(divide="ignore"):
+        return np.log(w)
+
+
+# (ny, |X_a|, |X_b|, m_a, m_b, n, share of zero transitions)
+LOGLIK_CASES = {
+    "binary": (2, 2, 2, 16, 16, 8, 0.0),
+    "ternary": (3, 3, 3, 27, 9, 6, 0.0),
+    "binary-zeros": (2, 2, 2, 32, 8, 10, 0.4),
+    "ternary-zeros": (3, 3, 3, 12, 40, 5, 0.5),
+    "mixed": (3, 2, 3, 64, 5, 12, 0.2),
+    "tall": (2, 2, 2, 256, 3, 16, 0.0),
+    "one-row": (2, 3, 2, 1, 7, 4, 0.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOGLIK_CASES))
+def test_pair_loglik_bit_equal_to_column_loop(case):
+    ny, na, nb, m_a, m_b, n, zeros = LOGLIK_CASES[case]
+    rng = np.random.default_rng(sorted(LOGLIK_CASES).index(case))
+    saw_neginf = False
+    for _ in range(20):
+        log_w = _log_w(rng, ny, na, nb, zeros)
+        y = rng.integers(ny, size=n)
+        cb_a = rng.integers(na, size=(m_a, n))
+        cb_b = rng.integers(nb, size=(m_b, n))
+        # a cell-member subset of either codebook, as the decoders pass
+        lo = int(rng.integers(m_b))
+        members = np.arange(lo, min(lo + 3, m_b))
+        for a, b in ((cb_a, cb_b), (cb_a, cb_b[members]), (cb_a[members % m_a], cb_b)):
+            got = _pair_loglik(log_w, y, a, b)
+            want = pair_loglik_columns(log_w, y, a, b)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.argmax(got) == np.argmax(want)
+            saw_neginf |= bool(np.isneginf(got).any())
+    assert saw_neginf == bool(zeros)
+
+
+def test_pair_loglik_ties_resolve_in_pair_order():
+    # log w[y, a, b] ignores b, so every b of the best a ties and the
+    # first one wins; y = 0 rules out a = 1, y = 1 favours it
+    log_w = np.zeros((2, 2, 2))
+    log_w[0, 1] = -np.inf
+    log_w[1, 0] = -690.0
+    y = np.array([0, 1, 0, 1])
+    cb_a = np.array([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 0, 0]])
+    cb_b = np.array([[1, 0, 1, 0], [0, 0, 1, 1]])
+    got = _pair_loglik(log_w, y, cb_a, cb_b)
+    assert np.array_equal(got, pair_loglik_columns(log_w, y, cb_a, cb_b))
+    assert np.argmax(got) == 2 and got[1, 0] == got[1, 1]
+
+
+# (pmf, count, n, rows all distinct after every seed's draw): forced
+# duplicates in small spaces, some left when the resampling passes run out
+# on a skewed pmf; no resampling above half the space; a zero-mass symbol;
+# binary n = 80 codebooks, whose integer key sum_t x_t 2^t would wrap
+# modulo 2^64
+CODEBOOK_CASES = {
+    "binary-half-space": ([0.5, 0.5], 8, 4, True),
+    "binary-crowded": ([0.9, 0.1], 30, 6, False),
+    "binary-overloaded": ([0.5, 0.5], 12, 4, False),
+    "ternary": ([0.2, 0.5, 0.3], 40, 4, True),
+    "ternary-zero-mass": ([0.6, 0.0, 0.4], 32, 6, True),
+    "ternary-zero-mass-overloaded": ([0.5, 0.0, 0.5], 12, 4, False),
+    "binary-n80": ([0.5, 0.5], 64, 80, True),
+    "binary-n80-skewed": ([0.999, 0.001], 64, 80, False),
+    "single": ([0.5, 0.5], 1, 3, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CODEBOOK_CASES))
+def test_draw_codebook_matches_rowwise_unique(case):
+    pmf, count, n, distinct = CODEBOOK_CASES[case]
+    pmf = np.asarray(pmf)
+    all_distinct = True
+    for seed in range(25):
+        rng_new = np.random.Generator(np.random.Philox(key=[seed, 5]))
+        rng_old = np.random.Generator(np.random.Philox(key=[seed, 5]))
+        got = _draw_codebook(rng_new, count, n, pmf)
+        want = draw_codebook_rowwise(rng_old, count, n, pmf)
+        assert np.array_equal(got, want)
+        # the generator was consumed identically
+        assert rng_new.integers(2**62) == rng_old.integers(2**62)
+        all_distinct &= np.unique(got, axis=0).shape[0] == count
+    assert all_distinct == distinct
+
+
+class _ScriptedRng:
+    """Returns ``first`` from the first ``choice`` call, then fails."""
+
+    def __init__(self, first):
+        self.first = first
+
+    def choice(self, *args, **kwargs):
+        first, self.first = self.first, None
+        assert first is not None, "a distinct row was resampled"
+        return first
+
+
+def test_draw_codebook_keeps_rows_an_integer_key_would_merge():
+    # rows that differ only at t = 0, whose weight 2^79 is 0 modulo 2^64
+    rows = np.random.default_rng(3).integers(2, size=(6, 80))
+    rows[1] = rows[0]
+    rows[1, 0] ^= 1
+    weights = 2 ** np.arange(79, -1, -1, dtype=np.uint64)
+    keys = rows.astype(np.uint64) @ weights
+    assert keys[0] == keys[1]
+    got = _draw_codebook(_ScriptedRng(rows.copy()), 6, 80, np.array([0.5, 0.5]))
+    assert np.array_equal(got, rows)
