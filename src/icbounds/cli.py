@@ -65,14 +65,16 @@ def _load_json(path: str) -> dict:
 
 
 def _float_field(doc: dict, key: str, default=None) -> float:
+    """A JSON number as a float; a string or a boolean is not a number."""
     if key not in doc:
         if default is None:
             raise InputError(f"channel spec missing field {key!r}")
         return float(default)
+    value = doc[key]
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InputError(f"field {key!r} must be a number")
     try:
-        return float(doc[key])
-    except (TypeError, ValueError):
-        raise InputError(f"field {key!r} must be a number") from None
+        return float(value)
     except OverflowError:
         raise InputError(f"field {key!r} must be finite") from None
 
@@ -116,8 +118,28 @@ def load_channel(path: str):
             d12=_float_field(doc, "d12", 0.0),
         )
     if kind == "discrete":
-        return dsc.DiscreteIC.from_json_dict(doc)
+        return discrete_channel(doc)
     raise InputError(f"unknown channel type {doc.get('type')!r}")
+
+
+def discrete_channel(doc) -> dsc.DiscreteIC:
+    """Parse a discrete channel document: integer alphabet sizes ny1, ny2,
+    nx1, nx2, the flat transition array w in (y1, y2, x1, x2) order, and
+    the conference capacities d12, d21."""
+    if not isinstance(doc, dict):
+        raise InputError("bad discrete channel document: must be a JSON object")
+    try:
+        ny1, ny2 = _int_field(doc, "ny1"), _int_field(doc, "ny2")
+        nx1, nx2 = _int_field(doc, "nx1"), _int_field(doc, "nx2")
+        flat = np.asarray(doc["w"], dtype=float)
+        d12, d21 = _float_field(doc, "d12", 0.0), _float_field(doc, "d21", 0.0)
+    except (KeyError, TypeError, ValueError) as exc:  # InputError is a ValueError
+        raise InputError(f"bad discrete channel document: {exc}") from exc
+    if flat.size != ny1 * ny2 * nx1 * nx2:
+        raise InputError("flat transition array has the wrong length")
+    if min(ny1, ny2, nx1, nx2) < 0:
+        raise InputError("alphabet sizes must be nonnegative")
+    return dsc.DiscreteIC(flat.reshape(ny1, ny2, nx1, nx2), d12=d12, d21=d21)
 
 
 def _write_region_csv(region: regions.RateRegion, out: str) -> None:
@@ -148,7 +170,7 @@ def cmd_outer(channel_path: str, grid: int, hull: bool, out_path: str):
         raise InputError("outer bound needs a spec with type 'gaussian'")
     region = outer_bound.outer_region(ch, grid_n=grid)
     if hull:
-        region = regions.convex_hull(region, tag="outer-hull")
+        region = regions.convex_hull(region)
     _write_region_csv(region, out_path)
     click.echo(f"wrote {out_path} (max sum rate "
                f"{outer_bound.sum_rate_bound(ch, grid_n=grid):.9g} bits/use)")
@@ -170,10 +192,10 @@ def cmd_figure(preset: str, out_dir: str, grid: int, compare_path: str | None):
     out.mkdir(parents=True, exist_ok=True)
     region = outer_bound.outer_region(ch, grid_n=grid)
     _write_region_csv(region, str(out / f"{preset}_bound.csv"))
-    hull = regions.convex_hull(region, tag="outer-hull")
+    hull = regions.convex_hull(region)
     _write_region_csv(hull, str(out / f"{preset}_bound_hull.csv"))
     if compare_path is not None:
-        other = regions.from_csv(Path(compare_path).read_text(), tag="external")
+        other = regions.from_csv(Path(compare_path).read_text())
         grid_r1 = np.linspace(0.0, max(region.r1_max, other.r1_max),
                               regions.FRONTIER_SAMPLES)
         ours = region.frontier_at(grid_r1)
@@ -273,10 +295,9 @@ def cmd_check(channel_path: str, condition: str, grid: int,
 def cmd_simulate(config_path: str):
     """Run the conferencing coding-scheme simulator; print result JSON."""
     doc = _load_json(config_path)
-    try:
-        channel = dsc.DiscreteIC.from_json_dict(doc["channel"])
-    except KeyError:
-        raise InputError("simulation config needs a 'channel' object") from None
+    if "channel" not in doc:
+        raise InputError("simulation config needs a 'channel' object")
+    channel = discrete_channel(doc["channel"])
     try:
         pmfs = {k: np.asarray(doc[k], dtype=float) for k in ("p1", "p2") if k in doc}
     except (TypeError, ValueError):

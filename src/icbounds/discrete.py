@@ -1,5 +1,5 @@
-"""Finite-alphabet channels: information measures, the general outer-bound
-constraint evaluator, regime-condition checkers and achievable inner regions.
+"""Finite-alphabet channels: the information kernel, regime-condition
+checkers and achievable inner regions.
 
 Joint distributions are plain numpy arrays with a tuple of axis labels
 carried alongside.  All information quantities are in bits.
@@ -7,8 +7,7 @@ carried alongside.  All information quantities are in bits.
 One information kernel, :func:`_mi_stack`, computes every mutual
 information here.  It takes a stack of joint tables with a leading batch
 axis and returns I(a; b | c) per table, computing each marginal entropy
-once over the whole stack with 0 log 0 = 0; :func:`mi` is a validated
-batch-of-one call into it.  An entropy sums each table's positive cells in
+once over the whole stack with 0 log 0 = 0.  An entropy sums each table's positive cells in
 table order, by one path for every stack, so a table's value is the same
 float alone or in any stack.  The condition searches and the inner regions
 evaluate their whole product-input lattice (and, for condition 7, every
@@ -16,18 +15,22 @@ auxiliary kernel at every probe input) as such stacks, in blocks of at
 most BLOCK_CELLS table cells, so peak memory does not grow with the
 lattice.  Their set-up (lattices, input pairs, structured kernels, the
 degradedness test) is array code with no loop over symbols or cells.
+
+The per-distribution 11-constraint outer-bound kernel and ``mi``, a
+validated batch-of-one call into :func:`_mi_stack`, are test references in
+``tests/reference.py``; no command evaluates them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ChannelShapeError, InputError
-from .regions import RateConstraint, RateRegion, hull_of_points, pentagon_vertices
+from .regions import RateRegion, hull_of_points, pentagon_vertices
 
 NORM_TOL = 1e-12
 DEGRADE_TOL = 1e-9
@@ -74,29 +77,6 @@ class DiscreteIC:
     def nx2(self) -> int:
         return self.w.shape[3]
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "DiscreteIC":
-        try:
-            ny1, ny2 = int(doc["ny1"]), int(doc["ny2"])
-            nx1, nx2 = int(doc["nx1"]), int(doc["nx2"])
-            flat = np.asarray(doc["w"], dtype=float)
-            d12, d21 = float(doc.get("d12", 0.0)), float(doc.get("d21", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"bad discrete channel document: {exc}") from exc
-        if flat.size != ny1 * ny2 * nx1 * nx2:
-            raise InputError("flat transition array has the wrong length")
-        if min(ny1, ny2, nx1, nx2) < 0:
-            raise InputError("alphabet sizes must be nonnegative")
-        return cls(flat.reshape(ny1, ny2, nx1, nx2), d12=d12, d21=d21)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "discrete",
-            "ny1": self.ny1, "ny2": self.ny2,
-            "nx1": self.nx1, "nx2": self.nx2,
-            "w": [float(v) for v in self.w.reshape(-1)],
-            "d12": self.d12, "d21": self.d21,
-        }
 
 
 def _entropy_rows(tables: np.ndarray) -> np.ndarray:
@@ -144,29 +124,6 @@ def _mi_stack(stack: np.ndarray, axes: Sequence[str], terms) -> np.ndarray:
     return out
 
 
-def mi(
-    table: np.ndarray,
-    axes: Sequence[str],
-    a: Iterable[str],
-    b: Iterable[str],
-    cond: Iterable[str] = (),
-) -> float:
-    """I(a; b | cond) in bits from a joint PMF with labelled axes."""
-    table = np.asarray(table, dtype=float)
-    if table.ndim != len(axes):
-        raise InputError("axis labels do not match table dimensions")
-    if abs(float(table.sum()) - 1.0) > 1e-9 or np.any(table < -NORM_TOL):
-        raise InputError("joint table must be a normalized PMF")
-    a, b, c = tuple(a), tuple(b), tuple(cond)
-    sa, sb, sc = set(a), set(b), set(c)
-    if (sa & sb) or (sa & sc) or (sb & sc):
-        raise InputError("variable groups must be disjoint")
-    for name in sa | sb | sc:
-        if name not in axes:
-            raise InputError(f"unknown axis {name!r}")
-    return float(_mi_stack(table[None], tuple(axes), [(a, b, c)])[0, 0])
-
-
 def _by_blocks(rows: int, cells: int, fn) -> np.ndarray:
     """``fn(idx)`` over consecutive blocks of row indices, joined along the
     last axis; each row stands for one joint table of ``cells`` cells."""
@@ -183,95 +140,6 @@ def _product_joints(ch: DiscreteIC, p1: np.ndarray, p2: np.ndarray) -> np.ndarra
     joints = p2[:, None, :, None, None] * ch.w.transpose(2, 3, 0, 1)
     joints *= p1[:, :, None, None, None]
     return joints
-
-
-@dataclass(frozen=True, eq=False)
-class AuxJointDist:
-    """Input and auxiliary factorization p(q) p(x1|q) p(x2|q) p(u,v|x1,x2,q)."""
-
-    p_q: np.ndarray
-    p_x1_q: np.ndarray
-    p_x2_q: np.ndarray
-    p_uv_x1x2q: np.ndarray
-
-    def __post_init__(self):
-        pq = np.asarray(self.p_q, dtype=float)
-        p1 = np.asarray(self.p_x1_q, dtype=float)
-        p2 = np.asarray(self.p_x2_q, dtype=float)
-        puv = np.asarray(self.p_uv_x1x2q, dtype=float)
-        nq = pq.shape[0]
-        if pq.ndim != 1 or p1.ndim != 2 or p2.ndim != 2 or puv.ndim != 5:
-            raise InputError("factor tables have wrong ranks")
-        if p1.shape[0] != nq or p2.shape[0] != nq or puv.shape[0] != nq:
-            raise InputError("factor tables disagree on |Q|")
-        if puv.shape[1] != p1.shape[1] or puv.shape[2] != p2.shape[1]:
-            raise InputError("auxiliary table disagrees on input alphabets")
-        for t, ax in ((pq, None), (p1, 1), (p2, 1), (puv, (3, 4))):
-            if np.any(t < -NORM_TOL):
-                raise InputError("probabilities must be nonnegative")
-            s = t.sum() if ax is None else t.sum(axis=ax)
-            if np.max(np.abs(s - 1.0)) > NORM_TOL:
-                raise InputError("conditional tables must be row-normalized")
-
-    @classmethod
-    def uniform(cls, nx1: int, nx2: int) -> "AuxJointDist":
-        """Degenerate Q, U, V with independent uniform inputs."""
-        return cls(np.array([1.0]), np.full((1, nx1), 1 / nx1),
-                   np.full((1, nx2), 1 / nx2), np.ones((1, nx1, nx2, 1, 1)))
-
-
-AXES7 = ("q", "u", "v", "x1", "x2", "y1", "y2")
-
-
-def joint_with_aux(ch: DiscreteIC, dist: AuxJointDist) -> np.ndarray:
-    """Joint PMF over (q, u, v, x1, x2, y1, y2)."""
-    if dist.p_x1_q.shape[1] != ch.nx1 or dist.p_x2_q.shape[1] != ch.nx2:
-        raise InputError("distribution alphabets do not match the channel")
-    return np.einsum(
-        "q,qa,qb,qabuv,cdab->quvabcd",
-        dist.p_q, dist.p_x1_q, dist.p_x2_q, dist.p_uv_x1x2q, ch.w,
-        optimize=True,
-    )
-
-
-def outer_constraints(ch: DiscreteIC, dist: AuxJointDist) -> list[RateConstraint]:
-    """The 11 outer-bound constraints evaluated at one auxiliary distribution,
-    with the channel's conference budgets d12 and d21.
-
-    The bound proper is a union over all admissible distributions; this is
-    the per-distribution kernel.
-    """
-    d12, d21 = ch.d12, ch.d21
-    j = joint_with_aux(ch, dist)
-
-    def f(a, b, c=()):
-        return mi(j, AXES7, a, b, c)
-
-    rows = [
-        (1, 0, min(f(("u", "x1"), ("y1",), ("q",)) + d21,
-                   f(("x1",), ("y1",), ("x2", "q")) + d21)),
-        (1, 0, f(("x1",), ("y1",), ("y2", "x2", "v", "q"))
-         + f(("x1",), ("y2",), ("x2", "q"))),
-        (1, 0, f(("x1",), ("y2",), ("y1", "x2", "v", "q"))
-         + f(("x1",), ("y1",), ("x2", "q"))),
-        (0, 1, min(f(("v", "x2"), ("y2",), ("q",)) + d12,
-                   f(("x2",), ("y2",), ("x1", "q")) + d12)),
-        (0, 1, f(("x2",), ("y2",), ("y1", "x1", "u", "q"))
-         + f(("x2",), ("y1",), ("x1", "q"))),
-        (0, 1, f(("x2",), ("y1",), ("y2", "x1", "u", "q"))
-         + f(("x2",), ("y2",), ("x1", "q"))),
-        (1, 1, f(("x1",), ("y1",), ("v", "x2", "q"))
-         + f(("v", "x2"), ("y2",), ("q",)) + d12 + d21),
-        (1, 1, f(("x2",), ("y2",), ("u", "x1", "q"))
-         + f(("u", "x1"), ("y1",), ("q",)) + d12 + d21),
-        (1, 1, f(("x1",), ("y1",), ("y2", "x2", "v", "q"))
-         + f(("x1", "x2"), ("y2",), ("q",)) + d12),
-        (1, 1, f(("x2",), ("y2",), ("y1", "x1", "u", "q"))
-         + f(("x1", "x2"), ("y1",), ("q",)) + d21),
-        (1, 1, f(("x1", "x2"), ("y1", "y2"), ("q",))),
-    ]
-    return [RateConstraint(c1, c2, rhs, tag=f"g{i + 1:02d}")
-            for i, (c1, c2, rhs) in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +281,8 @@ def check_condition(
           swapped (y1 degraded with respect to y2 given x1).
     * 14: the condition-4 gap on a one-sided channel.
     """
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
     if which == 4 or which == 11 or which == 14:
         if which == 14 and not one_sided_factorization(ch):
             raise ChannelShapeError(
@@ -465,7 +335,7 @@ def check_condition(
 
 
 def _inner_region(ch: DiscreteIC, d12: float, grid: int,
-                  one_sided: bool, tag: str) -> RateRegion:
+                  one_sided: bool) -> RateRegion:
     """Convex hull of the union over a product-input lattice of the
     pentagons R1 <= r1, R2 <= r2, R1 + R2 <= s.
 
@@ -492,7 +362,7 @@ def _inner_region(ch: DiscreteIC, d12: float, grid: int,
         r1 = m[0]
         r2 = np.minimum(m[1] + d12, m[2])
         s = np.minimum(m[3] + d12, m[4])
-    return hull_of_points(pentagon_vertices(r1, r2, s), tag=tag)
+    return hull_of_points(pentagon_vertices(r1, r2, s))
 
 
 def inner_region_strong(ch: DiscreteIC, d12: float, grid: int = 21) -> RateRegion:
@@ -501,11 +371,11 @@ def inner_region_strong(ch: DiscreteIC, d12: float, grid: int = 21) -> RateRegio
     Union over a product-input lattice of the per-input polytopes, then
     convex hull (time sharing).
     """
-    return _inner_region(ch, d12, grid, one_sided=False, tag="inner-strong")
+    return _inner_region(ch, d12, grid, one_sided=False)
 
 
 def inner_region_one_sided(ch: DiscreteIC, d12: float, grid: int = 21) -> RateRegion:
     """Achievable (capacity) region of the one-sided channel."""
     if not one_sided_factorization(ch):
         raise ChannelShapeError("channel is not one-sided")
-    return _inner_region(ch, d12, grid, one_sided=True, tag="inner-one-sided")
+    return _inner_region(ch, d12, grid, one_sided=True)

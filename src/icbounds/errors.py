@@ -1,16 +1,14 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: input/shape problems exit 2,
-undefined quantities exit 3, regime violations exit 4.
+The CLI maps these onto exit codes: input/shape problems and simulations
+over the codebook cap exit 2, undefined quantities exit 3, regime
+violations exit 4.  The errors that only the tests' reference code raises
+live with it, in ``tests/reference.py``.
 """
 
 
 class InputError(ValueError):
     """Malformed or invariant-violating input (channel spec, config, table)."""
-
-
-class DegenerateChannelError(InputError):
-    """Channel gains make a required derived quantity undefined."""
 
 
 class ChannelShapeError(InputError):
@@ -23,14 +21,6 @@ class UndefinedThresholdError(Exception):
 
 class RegimeViolationError(Exception):
     """Channel fails the regime condition an evaluator assumes."""
-
-
-class UnboundedRegionError(InputError):
-    """Constraint set does not bound the rate region in some direction."""
-
-
-class NumericalError(ArithmeticError):
-    """Covariance degenerated beyond what ridge regularization can absorb."""
 
 
 class ResourceLimitError(RuntimeError):

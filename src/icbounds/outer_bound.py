@@ -15,19 +15,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .gaussian import GaussianIC, psi
-from .regions import (
-    FRONTIER_SAMPLES,
-    RateConstraint,
-    RateRegion,
-    from_constraints,
-    point_region,
-)
+from .regions import FRONTIER_SAMPLES, RateRegion, point_region
 
 # (c1, c2) coefficient pattern of each of the 16 constraints, in order.
 COEFFS: tuple[tuple[float, float], ...] = (
@@ -37,16 +30,6 @@ COEFFS: tuple[tuple[float, float], ...] = (
 )
 
 DEFAULT_GRID = 201
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
-            raise InputError("alpha and beta must lie in [0, 1]")
 
 
 def _squares(ch: GaussianIC) -> tuple[float, float, float, float, float]:
@@ -156,18 +139,6 @@ def _rhs_table(ch: GaussianIC, alpha, beta):
 
     return [k1, k2, k3, k4, k5, k6, k7, k8, k9, k10,
             k11, k12, k13, k14, k15, k16]
-
-
-def constraints_at(ch: GaussianIC, params: BoundParams) -> list[RateConstraint]:
-    """The 16 rate constraints at one parameter point, in canonical order."""
-    rhs = _rhs_table(ch, params.alpha, params.beta)
-    return [RateConstraint(c1, c2, float(r), tag=f"c{i + 1:02d}")
-            for i, ((c1, c2), r) in enumerate(zip(COEFFS, rhs))]
-
-
-def region_at(ch: GaussianIC, params: BoundParams) -> RateRegion:
-    """Exact convex polytope cut out by the 16 constraints at (alpha, beta)."""
-    return from_constraints(constraints_at(ch, params), tag="outer-cell")
 
 
 def _param_grid(n: int, snr: float) -> np.ndarray:
@@ -361,10 +332,9 @@ def outer_region(ch: GaussianIC, grid_n: int = DEFAULT_GRID) -> RateRegion:
         raise InputError("grid_n must be at least 2")
     ev = _evaluator(ch, grid_n)
     if ev.r1_cap <= 0:
-        return point_region("outer")
+        return point_region()
     grid = np.linspace(0.0, ev.r1_cap, FRONTIER_SAMPLES)
-    return RateRegion(grid, ev.frontier(grid), tag="outer",
-                      frontier_fn=ev.frontier)
+    return RateRegion(grid, ev.frontier(grid), frontier_fn=ev.frontier)
 
 
 def sum_rate_bound(ch: GaussianIC, grid_n: int = DEFAULT_GRID) -> float:

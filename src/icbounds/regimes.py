@@ -177,7 +177,7 @@ def capacity_region_strong(ch: CorrelatedGaussianIC, force: bool = False) -> Rat
     r1 = psi(a1 / n1)
     r2 = min(psi(b2 / n2) + ch.d12, psi(b1 / n1))
     s = min(psi((a2 + b2) / n2) + ch.d12, psi((a1 + b1) / n1))
-    return RateRegion(*pentagon_vertices(r1, r2, s).T, tag="strong-capacity")
+    return RateRegion(*pentagon_vertices(r1, r2, s).T)
 
 
 def sum_capacity_fwd_own(ch: CorrelatedGaussianIC, force: bool = False) -> float:
@@ -216,5 +216,4 @@ def capacity_region_one_sided(ch: GaussianIC, force: bool = False) -> RateRegion
         a, b, c = ch.s11**2 * ch.p1, ch.s22**2 * ch.p2, ch.s21**2 * ch.p1
     except OverflowError:
         raise InputError(_OVERFLOW) from None
-    return RateRegion(*pentagon_vertices(psi(a), psi(b), psi(c + b) + ch.d12).T,
-                      tag="one-sided-capacity")
+    return RateRegion(*pentagon_vertices(psi(a), psi(b), psi(c + b) + ch.d12).T)

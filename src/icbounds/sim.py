@@ -95,6 +95,8 @@ class SimConfig:
             raise InputError(f"unknown scheme {self.scheme!r}")
         if self.trials < 1:
             raise InputError("trials must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise InputError("seed must lie in [0, 2^64)")
         for name, pmf, size in (("p1", self.p1, self.channel.nx1),
                                 ("p2", self.p2, self.channel.nx2)):
             if pmf is None:
@@ -161,7 +163,7 @@ class _Precomp:
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    key = np.array([seed % 2**64, trial], dtype=np.uint64)
+    key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

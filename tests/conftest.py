@@ -21,12 +21,13 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from icbounds import DiscreteIC, GaussianIC, mi
+from icbounds import DiscreteIC, GaussianIC
 from icbounds import discrete as dsc
 from icbounds import outer_bound as ob
 from icbounds import sim
-from icbounds.gaussian import GaussianSystem
-from icbounds.regions import RateConstraint, from_constraints, hull_of_points
+from icbounds.regions import hull_of_points
+
+from reference import GaussianSystem, RateConstraint, from_constraints, mi
 
 
 def brute_entropy(joint: np.ndarray, axes: tuple, names: tuple) -> float:
@@ -241,8 +242,7 @@ class PointwiseSearchOracle:
             for p2 in dsc.simplex_grid(self.ch.nx2, grid):
                 reg = from_constraints(self.pentagon(p1, p2, d12, one_sided))
                 pts.extend(zip(reg.r1, reg.r2))
-        tag = "inner-one-sided" if one_sided else "inner-strong"
-        return hull_of_points(np.array(pts), tag=tag)
+        return hull_of_points(np.array(pts))
 
     def pentagon(self, p1, p2, d12: float, one_sided: bool) -> list:
         j = self._joint(p1, p2)

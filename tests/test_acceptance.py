@@ -13,7 +13,6 @@ import pytest
 
 import icbounds
 from icbounds import (
-    BoundParams,
     CorrelatedGaussianIC,
     DiscreteIC,
     GaussianIC,
@@ -22,19 +21,26 @@ from icbounds import (
     capacity_region_strong,
     check_condition,
     classify,
-    constraints_at,
-    full_system,
-    gaussian_mi,
-    includes,
     inner_region_strong,
     outer_region,
     psi,
     simulate,
     sum_capacity_fwd_own,
 )
-from icbounds.discrete import AXES7, AuxJointDist, joint_with_aux, outer_constraints
 
 from conftest import brute_mi, random_channel, xor_copy_channel
+from reference import (
+    AXES7,
+    AuxJointDist,
+    BoundParams,
+    constraints_at,
+    full_system,
+    gaussian_mi,
+    includes,
+    joint_with_aux,
+    outer_constraints,
+    to_json_dict,
+)
 
 FIG2 = GaussianIC(100, 60, 60, 100, 1.0, 1.0, 0.5, 0.5)
 
@@ -239,7 +245,7 @@ def test_c10_cli_determinism(tmp_path, report):
         "p1": 2.0, "p2": 1.5, "d12": 0.4, "d21": 0.7}))
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({
-        "channel": xor_copy_channel().to_json_dict(),
+        "channel": to_json_dict(xor_copy_channel()),
         "n": 8, "r1": 0.25, "r2": 0.25, "d12": 0.5, "scheme": "thm2",
         "trials": 400, "seed": 7}))
 

@@ -1,0 +1,67 @@
+"""The package's public surface, and its independence from the test code."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import icbounds
+
+PUBLIC = {
+    "CellPartition", "ConditionReport", "CorrelatedGaussianIC", "DiscreteIC",
+    "GaussianIC", "RateRegion", "RegimeReport", "SimConfig", "SimResult",
+    "capacity_region_one_sided", "capacity_region_strong", "check_condition",
+    "classify", "convex_hull", "from_csv", "frontier_csv",
+    "inner_region_one_sided", "inner_region_strong", "outer_region", "psi",
+    "simulate", "sum_capacity_fwd_interference", "sum_capacity_fwd_own",
+    "sum_rate_bound",
+}
+
+# module -> names that only the tests use; they live in tests/reference.py
+TEST_ONLY = {
+    "errors": ("DegenerateChannelError", "UnboundedRegionError", "NumericalError"),
+    "gaussian": ("GaussianSystem", "independent_system", "build_system", "_logdet",
+                 "gaussian_mi", "DerivedSignals", "derived_signals", "full_system",
+                 "RIDGE", "PSD_TOL"),
+    "outer_bound": ("BoundParams", "constraints_at", "region_at"),
+    "regions": ("RateConstraint", "from_constraints", "_dedupe_collinear",
+                "includes", "gap"),
+    "discrete": ("mi", "AuxJointDist", "AXES7", "joint_with_aux",
+                 "outer_constraints"),
+}
+
+
+def test_star_import_yields_the_public_names():
+    namespace = {}
+    exec("from icbounds import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC
+    assert len(icbounds.__all__) == len(PUBLIC) == 24
+
+
+@pytest.mark.parametrize("module", sorted(TEST_ONLY))
+def test_test_only_names_left_the_package(module):
+    mod = importlib.import_module(f"icbounds.{module}")
+    assert [n for n in TEST_ONLY[module] if hasattr(mod, n)] == []
+
+
+def test_removed_members_stay_removed():
+    for cls, names in ((icbounds.RateRegion, ("tag", "vertices", "contains",
+                                              "is_point")),
+                       (icbounds.DiscreteIC, ("from_json_dict", "to_json_dict"))):
+        assert [n for n in names if hasattr(cls, n)] == []
+
+
+def test_package_imports_no_test_module():
+    src = Path(icbounds.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            else:
+                continue
+            for name in names:
+                parts = set(name.split("."))
+                assert not parts & {"reference", "conftest", "tests"}, (path.name, name)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from icbounds.cli import main
+from icbounds.cli import FIGURE_PRESETS, main
 
 
 @pytest.fixture
@@ -52,7 +52,8 @@ def test_outer_hull_flag(tmp_path, runner):
                                 "--out", str(raw)]).exit_code == 0
     assert runner.invoke(main, ["outer", "--channel", spec, "--grid", "11",
                                 "--hull", "--out", str(hull)]).exit_code == 0
-    from icbounds import from_csv, includes
+    from icbounds import from_csv
+    from reference import includes
 
     assert includes(from_csv(hull.read_text()), from_csv(raw.read_text()),
                     tol=1e-6)
@@ -612,6 +613,90 @@ def test_simulate_digest_matrix(tmp_path, runner, spec):
     assert hashlib.sha256(res.stdout.encode()).hexdigest()[:16] == SIM_MATRIX[spec]
 
 
+# ------------------------------------------------ outer and figure digest matrix
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+OUTER_SPECS = {
+    **{name: {"type": "gaussian", **params} for name, params in FIGURE_PRESETS.items()},
+    "s22-zero": gaussian_doc(s11=0.5, s12=2.2, s21=2.3, s22=0.0, p1=4.8, p2=3.1,
+                             d12=1.4, d21=0.8),
+    "s12-zero": gaussian_doc(s11=1.0, s12=0.0, s21=2.0, s22=1.0, d12=0.1, d21=0.3),
+}
+EXTERNAL_CSV = "r1,r2\n0,8\n2.5,7.25\n4,6\n6.5,2\n8,0\n"
+
+# (spec, grid, hull) -> (sha256 prefix of the CSV, of stdout with the path
+# replaced by {out}), generated before the test-only geometry left regions.
+OUTER_MATRIX = {
+    ("fig2", 11, False): ("f10d01b14571bbe6", "c4c22106667aab7f"),
+    ("fig2", 11, True): ("7ebdc5b766dcbd03", "c4c22106667aab7f"),
+    ("fig2", 201, False): ("3d2174033d6c0bbe", "0d3a1f7d5fd3acde"),
+    ("fig2", 201, True): ("a83b7d26fe0c5b7a", "0d3a1f7d5fd3acde"),
+    ("fig3", 11, False): ("628e9b1c858fdaac", "9cd56878ec023d77"),
+    ("fig3", 11, True): ("abe46f296a5e6435", "9cd56878ec023d77"),
+    ("fig3", 201, False): ("56d2ec1bb9b2711f", "30ad640ace7ce995"),
+    ("fig3", 201, True): ("6dc36fdd22f21471", "30ad640ace7ce995"),
+    ("fig4", 11, False): ("4e5a8da949329d18", "a74f4f09ab4be6ce"),
+    ("fig4", 11, True): ("4e5a8da949329d18", "a74f4f09ab4be6ce"),
+    ("fig4", 201, False): ("4e5a8da949329d18", "a74f4f09ab4be6ce"),
+    ("fig4", 201, True): ("4e5a8da949329d18", "a74f4f09ab4be6ce"),
+    ("s22-zero", 11, False): ("ad8bae40cde0d46f", "ee2f6ee03c9a9315"),
+    ("s22-zero", 11, True): ("ad8bae40cde0d46f", "ee2f6ee03c9a9315"),
+    ("s22-zero", 201, False): ("ad8bae40cde0d46f", "ee2f6ee03c9a9315"),
+    ("s22-zero", 201, True): ("ad8bae40cde0d46f", "ee2f6ee03c9a9315"),
+    ("s12-zero", 11, False): ("718c7dcd4a98c850", "3355a7768b50cb88"),
+    ("s12-zero", 11, True): ("718c7dcd4a98c850", "3355a7768b50cb88"),
+    ("s12-zero", 201, False): ("718c7dcd4a98c850", "3355a7768b50cb88"),
+    ("s12-zero", 201, True): ("718c7dcd4a98c850", "3355a7768b50cb88"),
+}
+
+# (preset, grid) -> sha256 prefixes of the bound, hull and comparison CSVs
+# and of stdout (directory replaced by {out}), with --compare EXTERNAL_CSV.
+FIGURE_MATRIX = {
+    ("fig2", 11): ("f10d01b14571bbe6", "7ebdc5b766dcbd03",
+                   "6d7e9ce6c06bd9c0", "faa7a3267b4b311a"),
+    ("fig2", 201): ("3d2174033d6c0bbe", "a83b7d26fe0c5b7a",
+                    "e03a957b57be5e7c", "faa7a3267b4b311a"),
+    ("fig3", 11): ("628e9b1c858fdaac", "abe46f296a5e6435",
+                   "c796e1dffb41d540", "96612c0903f70cfa"),
+    ("fig3", 201): ("56d2ec1bb9b2711f", "6dc36fdd22f21471",
+                    "bd80cc31082d4dfc", "96612c0903f70cfa"),
+    ("fig4", 11): ("4e5a8da949329d18", "4e5a8da949329d18",
+                   "1f89b1086a861d5d", "7a7473059747716f"),
+    ("fig4", 201): ("4e5a8da949329d18", "4e5a8da949329d18",
+                    "1f89b1086a861d5d", "7a7473059747716f"),
+}
+
+
+@pytest.mark.parametrize("spec, grid, hull", sorted(OUTER_MATRIX))
+def test_outer_digest_matrix(tmp_path, runner, spec, grid, hull):
+    path = write_json(tmp_path / f"{spec}.json", OUTER_SPECS[spec])
+    out = tmp_path / "region.csv"
+    res = runner.invoke(main, ["outer", "--channel", path, "--grid", str(grid),
+                               "--out", str(out)] + (["--hull"] if hull else []))
+    assert res.exit_code == 0, res.output
+    stdout = res.stdout.replace(str(out), "{out}")
+    assert (digest(out.read_bytes()), digest(stdout.encode())) == \
+        OUTER_MATRIX[spec, grid, hull]
+
+
+@pytest.mark.parametrize("preset, grid", sorted(FIGURE_MATRIX))
+def test_figure_digest_matrix(tmp_path, runner, preset, grid):
+    ext = tmp_path / "external.csv"
+    ext.write_text(EXTERNAL_CSV)
+    out = tmp_path / "figs"
+    res = runner.invoke(main, ["figure", "--preset", preset, "--grid", str(grid),
+                               "--out", str(out), "--compare", str(ext)])
+    assert res.exit_code == 0, res.output
+    files = [out / f"{preset}_{name}.csv"
+             for name in ("bound", "bound_hull", "comparison")]
+    stdout = res.stdout.replace(str(out), "{out}")
+    assert tuple(digest(f.read_bytes()) for f in files) + (digest(stdout.encode()),) \
+        == FIGURE_MATRIX[preset, grid]
+
+
 # ------------------------------------ overflowing and malformed inputs
 
 CASCADE_OVERFLOW = cascade_doc("gaussian-6", 2.0, 1.0, 1.0, 1e200)
@@ -655,6 +740,18 @@ ROGUE_INPUTS = {
                             "alphabet sizes"),
     "discrete-w-nan": ("check", {**discrete_doc(), "w": [float("nan")] * 16}, 2,
                        "nonnegative"),
+    # alphabet sizes are integers, as every integer spec field is: not
+    # truncated from a fraction, parsed from a string or read from a boolean
+    "discrete-dims-fraction": ("inner2", {**discrete_doc(), "ny1": 2.7}, 2,
+                               "bad discrete"),
+    "discrete-dims-string": ("check", {**discrete_doc(), "ny2": "2"}, 2,
+                             "bad discrete"),
+    "discrete-dims-bool": ("check", {**discrete_doc(), "nx1": True}, 2,
+                           "bad discrete"),
+    "discrete-not-object": ("simulate", sim_config(channel=[1, 2]), 2,
+                            "bad discrete"),
+    "discrete-dims-sim": ("simulate", sim_config(
+        channel={**discrete_doc(), "nx2": 2.5}), 2, "must be an integer"),
     "sim-n-huge": ("simulate", sim_config(n=1e9), 2, "exceeds cap"),
     "sim-r1-huge": ("simulate", sim_config(r1=1e9), 2, "exceeds cap"),
     "sim-d12-huge": ("simulate", sim_config(d12=1e300), 0, '"cell_count"'),
@@ -674,6 +771,12 @@ ROGUE_INPUTS = {
     "sim-seed-1e300": ("simulate", sim_config(seed=1e300), 2, "must be an integer"),
     "sim-n-bigint": ("simulate", sim_config(n=10**400), 2, "must be finite"),
     "sim-r1-bigint": ("simulate", sim_config(r1=10**400), 2, "must be finite"),
+    # Philox takes a 64-bit key: a seed outside [0, 2^64) would alias another
+    "sim-seed-negative": ("simulate", sim_config(seed=-1), 2, "seed must lie"),
+    "sim-seed-2^64": ("simulate", sim_config(seed=2**64), 2, "seed must lie"),
+    "sim-seed-2^64+7": ("simulate", sim_config(seed=2**64 + 7), 2, "seed must lie"),
+    "check7-seed-negative": ("check7-seed-1", discrete_doc(), 2,
+                             "seed must be nonnegative"),
 }
 ROGUE_ARGS = {
     "inner2": ["inner", "--theorem", "2", "--grid", "5", "--out", "{out}"],
@@ -684,6 +787,8 @@ ROGUE_ARGS = {
     "outer11": ["outer", "--grid", "11", "--out", "{out}"],
     "classify": ["classify"],
     "check": ["check", "--condition", "4", "--grid", "5"],
+    "check7-seed-1": ["check", "--condition", "7", "--grid", "5", "--samples", "3",
+                      "--seed", "-1"],
     "simulate": ["simulate"],
 }
 
@@ -705,7 +810,7 @@ def test_rogue_inputs_exit_cleanly(tmp_path, runner, case):
         assert (doc["cell_count"], doc["per_cell"], doc["trials"]) == (2, 1, 5)
 
 
-@pytest.mark.parametrize("seed", [2**53, 2**53 + 1, 2**64 + 7])
+@pytest.mark.parametrize("seed", [2**53, 2**53 + 1, 2**64 - 1])
 def test_simulate_echoes_large_integer_seed(tmp_path, runner, seed):
     path = write_json(tmp_path / "cfg.json", sim_config(seed=seed))
     res = runner.invoke(main, ["simulate", "--config", path])

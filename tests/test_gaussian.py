@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from icbounds import (
-    GaussianIC,
+from icbounds import GaussianIC, psi
+from icbounds.errors import InputError
+
+from conftest import random_channel
+from reference import (
+    PSD_TOL,
+    RIDGE,
+    DegenerateChannelError,
     GaussianSystem,
+    NumericalError,
+    _logdet,
     build_system,
     derived_signals,
     full_system,
     gaussian_mi,
-    psi,
 )
-from icbounds.errors import DegenerateChannelError, InputError, NumericalError
-from icbounds.gaussian import PSD_TOL, RIDGE, _logdet
-
-from conftest import random_channel
 
 FIG2 = GaussianIC(100, 60, 60, 100, 1.0, 1.0, 0.5, 0.5)
 
