@@ -2,13 +2,16 @@
 
 Channel specs come in as JSON documents ({"type": "gaussian" | "gaussian-6" |
 "gaussian-13" | "discrete", ...}); outputs are frontier CSVs, report JSON, or
-simulation JSON on stdout.  Exit codes: 0 success, 2 input or shape error,
-3 undefined threshold, 4 regime violation.
+simulation JSON on stdout.  Each numeric field, and each entry of the flat
+lists ``w``, ``p1`` and ``p2``, must be a JSON number (not a string or a
+boolean).  The group's ``invoke`` alone turns errors into exit codes: 0
+success, 2 malformed input (fields, JSON, CSV, an unreadable or non-UTF-8
+file) or a simulation over its codebook cap, 3 undefined threshold, 4
+regime violation.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -38,56 +41,62 @@ FIGURE_PRESETS = {
 }
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+EXIT_CODES = {  # exception kind -> exit code, tried in order
+    UndefinedThresholdError: 3, RegimeViolationError: 4,
+    InputError: 2, ResourceLimitError: 2, json.JSONDecodeError: 2, OSError: 2,
+    UnicodeDecodeError: 2,
+}
 
 
-def _map_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Boundary(click.Group):
+    """The command group; its invoke maps errors through EXIT_CODES."""
+
+    def invoke(self, ctx: click.Context):
         try:
-            return fn(*args, **kwargs)
-        except UndefinedThresholdError as exc:
-            _fail(3, str(exc))
-        except RegimeViolationError as exc:
-            _fail(4, str(exc))
-        except (InputError, ResourceLimitError, json.JSONDecodeError, OSError) as exc:
-            _fail(2, str(exc))
-    return wrapper
+            return super().invoke(ctx)
+        except tuple(EXIT_CODES) as exc:
+            code = next(c for kind, c in EXIT_CODES.items() if isinstance(exc, kind))
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(code)
 
 
 def _load_json(path: str) -> dict:
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise InputError("channel spec must be a JSON object")
     return doc
 
 
-def _float_field(doc: dict, key: str, default=None) -> float:
+def _number(value, key: str, kind: str = "a number") -> float:
     """A JSON number as a float; a string or a boolean is not a number."""
-    if key not in doc:
-        if default is None:
-            raise InputError(f"channel spec missing field {key!r}")
-        return float(default)
-    value = doc[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise InputError(f"field {key!r} must be a number")
+        raise InputError(f"field {key!r} must be {kind}")
     try:
         return float(value)
     except OverflowError:
         raise InputError(f"field {key!r} must be finite") from None
 
 
+def _float_field(doc: dict, key: str, default=None) -> float:
+    if key not in doc and default is None:
+        raise InputError(f"channel spec missing field {key!r}")
+    return _number(doc.get(key, default), key)
+
+
+def _array_field(doc: dict, key: str) -> np.ndarray:
+    """A flat JSON list of numbers, each read by ``_number``."""
+    kind = "a flat list of numbers"
+    if not isinstance(doc.get(key), list):
+        raise InputError(f"field {key!r} must be {kind}")
+    return np.array([_number(v, key, kind) for v in doc[key]], dtype=float)
+
+
 def _int_field(doc: dict, key: str, default=None) -> int:
     """A JSON integer as it is, or a float that is integral and below 2^53
     in magnitude, where each float stands for one integer exactly."""
-    value = doc.get(key, default)
-    if isinstance(value, int) and not isinstance(value, bool):
-        if abs(value) > sys.float_info.max:
-            raise InputError(f"field {key!r} must be finite")
-        return value
-    value = _float_field(doc, key, default)
+    raw, value = doc.get(key, default), _float_field(doc, key, default)
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
     if not math.isfinite(value):
         raise InputError(f"field {key!r} must be finite")
     if not value.is_integer() or abs(value) >= 2.0**53:
@@ -100,23 +109,14 @@ def load_channel(path: str):
     """Parse a channel spec file into a typed channel object."""
     doc = _load_json(path)
     kind = doc.get("type")
-    if kind == "gaussian":
-        return GaussianIC(
-            s11=_float_field(doc, "s11"), s12=_float_field(doc, "s12"),
-            s21=_float_field(doc, "s21"), s22=_float_field(doc, "s22"),
-            p1=_float_field(doc, "p1"), p2=_float_field(doc, "p2"),
-            d12=_float_field(doc, "d12", 0.0), d21=_float_field(doc, "d21", 0.0),
-        )
-    if kind in ("gaussian-6", "gaussian-13"):
-        if _float_field(doc, "d21", 0.0) != 0.0:
+    if kind in ("gaussian", "gaussian-6", "gaussian-13"):
+        fields = {k: _float_field(doc, k) for k in "s11 s12 s21 s22 p1 p2".split()}
+        d12, d21 = _float_field(doc, "d12", 0.0), _float_field(doc, "d21", 0.0)
+        if kind == "gaussian":
+            return GaussianIC(**fields, d12=d12, d21=d21)
+        if d21 != 0.0:
             raise InputError(f"{kind} assumes a one-directional conference (d21 = 0)")
-        return regimes.CorrelatedGaussianIC(
-            kind,
-            s11=_float_field(doc, "s11"), s12=_float_field(doc, "s12"),
-            s21=_float_field(doc, "s21"), s22=_float_field(doc, "s22"),
-            p1=_float_field(doc, "p1"), p2=_float_field(doc, "p2"),
-            d12=_float_field(doc, "d12", 0.0),
-        )
+        return regimes.CorrelatedGaussianIC(kind, **fields, d12=d12)
     if kind == "discrete":
         return discrete_channel(doc)
     raise InputError(f"unknown channel type {doc.get('type')!r}")
@@ -131,10 +131,10 @@ def discrete_channel(doc) -> dsc.DiscreteIC:
     try:
         ny1, ny2 = _int_field(doc, "ny1"), _int_field(doc, "ny2")
         nx1, nx2 = _int_field(doc, "nx1"), _int_field(doc, "nx2")
-        flat = np.asarray(doc["w"], dtype=float)
+        flat = _array_field(doc, "w")
         d12, d21 = _float_field(doc, "d12", 0.0), _float_field(doc, "d21", 0.0)
-    except (KeyError, TypeError, ValueError) as exc:  # InputError is a ValueError
-        raise InputError(f"bad discrete channel document: {exc}") from exc
+    except InputError as exc:
+        raise InputError(f"bad discrete channel document: {exc}") from None
     if flat.size != ny1 * ny2 * nx1 * nx2:
         raise InputError("flat transition array has the wrong length")
     if min(ny1, ny2, nx1, nx2) < 0:
@@ -142,15 +142,11 @@ def discrete_channel(doc) -> dsc.DiscreteIC:
     return dsc.DiscreteIC(flat.reshape(ny1, ny2, nx1, nx2), d12=d12, d21=d21)
 
 
-def _write_region_csv(region: regions.RateRegion, out: str) -> None:
-    Path(out).write_text(regions.frontier_csv(region))
-
-
 def _echo_json(payload: dict) -> None:
     click.echo(json.dumps(payload, sort_keys=True))
 
 
-@click.group()
+@click.group(cls=_Boundary)
 def main():
     """Rate-region bounds and coding simulation for conferencing receivers."""
 
@@ -162,7 +158,6 @@ def main():
 @click.option("--hull/--no-hull", default=False, show_default=True,
               help="write the convex hull of the union frontier")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_map_errors
 def cmd_outer(channel_path: str, grid: int, hull: bool, out_path: str):
     """Union outer-bound frontier for a Gaussian channel spec."""
     ch = load_channel(channel_path)
@@ -171,7 +166,7 @@ def cmd_outer(channel_path: str, grid: int, hull: bool, out_path: str):
     region = outer_bound.outer_region(ch, grid_n=grid)
     if hull:
         region = regions.convex_hull(region)
-    _write_region_csv(region, out_path)
+    Path(out_path).write_text(regions.frontier_csv(region))
     click.echo(f"wrote {out_path} (max sum rate "
                f"{outer_bound.sum_rate_bound(ch, grid_n=grid):.9g} bits/use)")
 
@@ -183,19 +178,18 @@ def cmd_outer(channel_path: str, grid: int, hull: bool, out_path: str):
 @click.option("--grid", default=outer_bound.DEFAULT_GRID, show_default=True, type=int)
 @click.option("--compare", "compare_path", default=None, type=click.Path(),
               help="frontier CSV from an external bound to compare against")
-@_map_errors
 def cmd_figure(preset: str, out_dir: str, grid: int, compare_path: str | None):
     """Reproduce a preset comparison setup; optionally diff an external bound."""
-    params = FIGURE_PRESETS[preset]
-    ch = GaussianIC(**params)
+    if compare_path is not None:
+        other = regions.from_csv(Path(compare_path).read_text(encoding="utf-8"))
+    ch = GaussianIC(**FIGURE_PRESETS[preset])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     region = outer_bound.outer_region(ch, grid_n=grid)
-    _write_region_csv(region, str(out / f"{preset}_bound.csv"))
+    (out / f"{preset}_bound.csv").write_text(regions.frontier_csv(region))
     hull = regions.convex_hull(region)
-    _write_region_csv(hull, str(out / f"{preset}_bound_hull.csv"))
+    (out / f"{preset}_bound_hull.csv").write_text(regions.frontier_csv(hull))
     if compare_path is not None:
-        other = regions.from_csv(Path(compare_path).read_text())
         grid_r1 = np.linspace(0.0, max(region.r1_max, other.r1_max),
                               regions.FRONTIER_SAMPLES)
         ours = region.frontier_at(grid_r1)
@@ -209,7 +203,6 @@ def cmd_figure(preset: str, out_dir: str, grid: int, compare_path: str | None):
 
 @main.command("classify")
 @click.option("--channel", "channel_path", required=True, type=click.Path())
-@_map_errors
 def cmd_classify(channel_path: str):
     """Print the regime report for a cascade or one-sided channel spec."""
     ch = load_channel(channel_path)
@@ -235,7 +228,6 @@ def cmd_classify(channel_path: str):
               help="evaluate even when the regime condition fails")
 @click.option("--grid", default=21, show_default=True, type=int,
               help="input lattice resolution for discrete channels")
-@_map_errors
 def cmd_inner(channel_path: str, theorem: str, out_path: str | None,
               force: bool, grid: int):
     """Capacity-side evaluation: region CSV or sum-capacity JSON."""
@@ -261,7 +253,7 @@ def cmd_inner(channel_path: str, theorem: str, out_path: str | None,
     if isinstance(result, regions.RateRegion):
         if out_path is None:
             raise InputError("--out is required for region output")
-        _write_region_csv(result, out_path)
+        Path(out_path).write_text(regions.frontier_csv(result))
         click.echo(f"wrote {out_path}")
         return
     text = json.dumps({"sum_capacity": result, "theorem": int(theorem)}, sort_keys=True)
@@ -277,7 +269,6 @@ def cmd_inner(channel_path: str, theorem: str, out_path: str | None,
 @click.option("--aux-card", default=None, type=int)
 @click.option("--samples", default=2000, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
-@_map_errors
 def cmd_check(channel_path: str, condition: str, grid: int,
               aux_card: int | None, samples: int, seed: int):
     """Search a regime condition on a discrete channel; print the report."""
@@ -291,7 +282,6 @@ def cmd_check(channel_path: str, condition: str, grid: int,
 
 @main.command("simulate")
 @click.option("--config", "config_path", required=True, type=click.Path())
-@_map_errors
 def cmd_simulate(config_path: str):
     """Run the conferencing coding-scheme simulator; print result JSON."""
     doc = _load_json(config_path)
@@ -299,9 +289,9 @@ def cmd_simulate(config_path: str):
         raise InputError("simulation config needs a 'channel' object")
     channel = discrete_channel(doc["channel"])
     try:
-        pmfs = {k: np.asarray(doc[k], dtype=float) for k in ("p1", "p2") if k in doc}
-    except (TypeError, ValueError):
-        raise InputError("fields 'p1' and 'p2' must be lists of numbers") from None
+        pmfs = {k: _array_field(doc, k) for k in ("p1", "p2") if k in doc}
+    except InputError as exc:
+        raise InputError(f"fields 'p1' and 'p2' are input PMFs: {exc}") from None
     cfg = sim.SimConfig(
         channel=channel,
         n=_int_field(doc, "n"),
@@ -316,7 +306,3 @@ def cmd_simulate(config_path: str):
     )
     result = sim.simulate(cfg)
     _echo_json(asdict(result))
-
-
-if __name__ == "__main__":
-    main()

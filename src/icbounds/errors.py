@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: input/shape problems and simulations
-over the codebook cap exit 2, undefined quantities exit 3, regime
-violations exit 4.  The errors that only the tests' reference code raises
+The CLI maps these onto exit codes in one place, ``cli.EXIT_CODES``:
+input/shape problems and simulations over the codebook cap exit 2,
+undefined quantities exit 3, regime violations exit 4.  The errors that only the tests' reference code raises
 live with it, in ``tests/reference.py``.
 """
 

@@ -160,6 +160,10 @@ def _param_grid(n: int, snr: float) -> np.ndarray:
 
 
 CLIFF_LEVELS = 256
+# Cells per chunk of a block in ``max_sum``, so that its memory does not grow
+# with the square of the grid.  Grids up to 256 (the largest block at grid
+# 201 is 256 x 201 = 51,456 cells) take each block in one chunk.
+MAX_SUM_CELLS = 1 << 16
 
 
 def _cliff_alpha(ch: GaussianIC, levels: int) -> np.ndarray:
@@ -295,10 +299,16 @@ class _UnionEvaluator:
         return out
 
     def max_sum(self) -> float:
-        """Exact max of R1 + R2 over the union of cell polytopes."""
-        return max(float(np.max(_cell_max_sum(*np.minimum(
-            self.sides[i][:, :, None], self.sides[j][:, None, :]))))
-            for i, j in self.blocks)
+        """Exact max of R1 + R2 over the union of cell polytopes, taken over
+        row chunks of each block of at most MAX_SUM_CELLS cells."""
+        best = -np.inf
+        for i, j in self.blocks:
+            a, b = self.sides[i], self.sides[j]
+            step = max(1, MAX_SUM_CELLS // b.shape[1])
+            for lo in range(0, a.shape[1], step):
+                best = max(best, float(np.max(_cell_max_sum(*np.minimum(
+                    a[:, lo:lo + step, None], b[:, None, :])))))
+        return best
 
 
 def _cell_max_sum(m10, m01, m11, m21, m12) -> np.ndarray:

@@ -42,6 +42,8 @@ class RateRegion:
         r2 = np.atleast_1d(np.asarray(self.r2, dtype=float))
         if r1.shape != r2.shape or r1.ndim != 1 or r1.size == 0:
             raise InputError("frontier arrays must be equal-length 1-D")
+        if not (np.isfinite(r1).all() and np.isfinite(r2).all()):
+            raise InputError("frontier values must be finite")
         if r1[0] < -1e-12 or np.any(np.diff(r1) < -1e-12):
             raise InputError("frontier r1 must be ascending and nonnegative")
         if np.any(r2 < -1e-9) or np.any(np.diff(r2) > 1e-9):
@@ -162,14 +164,18 @@ def frontier_csv(region: RateRegion) -> str:
 
 
 def from_csv(text: str) -> RateRegion:
-    """Parse a frontier CSV produced by :func:`frontier_csv`."""
+    """Parse a frontier CSV produced by :func:`frontier_csv`: a header
+    'r1,r2', then rows of exactly two finite numbers."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0].lower().replace(" ", "") != "r1,r2":
         raise InputError("frontier CSV must start with header 'r1,r2'")
-    try:
-        pairs = [tuple(float(v) for v in ln.split(",")) for ln in lines[1:]]
-    except ValueError as exc:
-        raise InputError(f"bad CSV row: {exc}") from exc
+    pairs = []
+    for ln in lines[1:]:
+        try:
+            r1, r2 = ln.split(",")
+            pairs.append((float(r1), float(r2)))
+        except ValueError:  # too few or too many values, or not a number
+            raise InputError(f"bad CSV row {ln!r}: need two numbers") from None
     if not pairs:
         raise InputError("frontier CSV has no data rows")
     arr = np.array(pairs)

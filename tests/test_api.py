@@ -65,3 +65,42 @@ def test_package_imports_no_test_module():
             for name in names:
                 parts = set(name.split("."))
                 assert not parts & {"reference", "conftest", "tests"}, (path.name, name)
+
+
+def _calls_exit(node) -> bool:
+    """A call to sys.exit or _fail, or a raise of SystemExit."""
+    if isinstance(node, ast.Call):
+        f = node.func
+        return (isinstance(f, ast.Name) and f.id == "_fail") or (
+            isinstance(f, ast.Attribute) and f.attr == "exit"
+            and isinstance(f.value, ast.Name) and f.value.id == "sys")
+    if isinstance(node, ast.Raise) and node.exc is not None:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "SystemExit"
+    return False
+
+
+def test_cli_turns_errors_into_exit_codes_in_one_place():
+    import click
+
+    from icbounds import cli
+
+    group = type(cli.main)
+    assert issubclass(group, click.Group) and group.invoke is not click.Group.invoke
+    tree = ast.parse(Path(cli.__file__).read_text())
+    exits = []
+    for top in tree.body:
+        is_class = isinstance(top, ast.ClassDef)
+        for stmt in top.body if is_class else [top]:
+            name = getattr(stmt, "name", "<module level>")
+            name = f"{top.name}.{name}" if is_class else name
+            exits += [name for node in ast.walk(stmt) if _calls_exit(node)]
+    assert exits == [f"{group.__name__}.invoke"]
+    # a command callback wears only its command and option decorators
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or not fn.decorator_list:
+            continue
+        for deco in fn.decorator_list:
+            target = ast.unparse(deco.func if isinstance(deco, ast.Call) else deco)
+            assert target in ("main.command", "click.option", "click.argument",
+                              "click.group"), (fn.name, target)

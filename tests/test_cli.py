@@ -711,6 +711,7 @@ POWER_OVERFLOW = gaussian_doc(s11=1e150, s12=0.0, s21=2e150, s22=1.0, p1=1e100,
 # that do not
 PRODUCT_OVERFLOW = gaussian_doc(s11=1e70, s12=1e70, s21=2e70, s22=3e70, p1=1e20,
                                 p2=1e20, d12=0.1, d21=0.0)
+W = discrete_doc()["w"]
 NAN_CASCADE = {"type": "gaussian-6", "s11": float("nan"), "s12": 1.0, "s21": 2.0,
                "s22": 0.9, "p1": 1.0, "p2": 1.0, "d12": 0.3}
 ROGUE_INPUTS = {
@@ -761,6 +762,35 @@ ROGUE_INPUTS = {
     "sim-r2-inf": ("simulate", sim_config(r2=float("inf")), 2, "finite"),
     "sim-p1-text": ("simulate", sim_config(p1="x"), 2, "'p1' and"),
     "sim-p1-nan": ("simulate", sim_config(p1=[float("nan"), 1.0]), 2, "PMF"),
+    # every entry of an array field is a JSON number, as every scalar field
+    # is, and the array is flat
+    "discrete-w-strings": ("check", {**discrete_doc(), "w": [str(v) for v in W]}, 2,
+                           "field 'w' must be a flat list of numbers"),
+    "discrete-w-bools": ("check", {**discrete_doc(), "w": [v == 1 for v in W]}, 2,
+                         "field 'w' must be a flat list of numbers"),
+    "discrete-w-mixed": ("check", {**discrete_doc(), "w": [
+        "1" if v else False for v in W]}, 2, "field 'w' must be a flat list"),
+    "discrete-w-nested": ("check", {**discrete_doc(), "w": [W[:8], W[8:]]}, 2,
+                          "field 'w' must be a flat list of numbers"),
+    "discrete-w-number": ("inner2", {**discrete_doc(), "w": 1.0}, 2,
+                          "field 'w' must be a flat list of numbers"),
+    "discrete-w-missing": ("check", {k: v for k, v in discrete_doc().items()
+                                     if k != "w"}, 2, "field 'w' must be a flat"),
+    "discrete-w-bigint": ("check", {**discrete_doc(), "w": [10**400] + W[1:]}, 2,
+                          "field 'w' must be finite"),
+    "discrete-w-strings-sim": ("simulate", sim_config(
+        channel={**discrete_doc(), "w": [str(v) for v in W]}), 2,
+        "field 'w' must be a flat list of numbers"),
+    "sim-p1-strings": ("simulate", sim_config(p1=["0.5", "0.5"]), 2,
+                       "field 'p1' must be a flat list of numbers"),
+    "sim-p2-bools": ("simulate", sim_config(p2=[True, False]), 2,
+                     "field 'p2' must be a flat list of numbers"),
+    "sim-p1-nested": ("simulate", sim_config(p1=[[0.5, 0.5]]), 2,
+                      "field 'p1' must be a flat list of numbers"),
+    "sim-p2-number": ("simulate", sim_config(p2=1.0), 2,
+                      "field 'p2' must be a flat list of numbers"),
+    "sim-p2-bigint": ("simulate", sim_config(p2=[10**400, 0.5]), 2,
+                      "field 'p2' must be finite"),
     "sim-n-fraction": ("simulate", sim_config(n=8.9), 2, "must be an integer"),
     "sim-trials-fraction": ("simulate", sim_config(trials=20.7), 2,
                             "must be an integer"),
@@ -829,3 +859,64 @@ def test_simulate_accepts_integral_floats(tmp_path, runner):
         assert res.exit_code == 0, res.output
         outs.append(res.stdout)
     assert outs[0] == outs[1]
+
+
+# ------------------------------------ one input boundary for every command
+
+BOUNDARY_ARGS = {
+    "outer": ["outer", "--out", "{out}", "--channel"],
+    "figure": ["figure", "--preset", "fig2", "--grid", "5", "--out", "{out}",
+               "--compare"],
+    "classify": ["classify", "--channel"],
+    "inner": ["inner", "--theorem", "2", "--out", "{out}", "--channel"],
+    "check": ["check", "--condition", "4", "--grid", "5", "--channel"],
+    "simulate": ["simulate", "--config"],
+}
+# what each input file holds: --compare reads a CSV, every other command JSON
+BAD_FILES = {
+    "missing": (None, None),
+    "malformed": (b'{"type": "gaussian", ', b"r1,r2\n0,1,2\n"),
+    "not-utf8": (b'{"type": "gaussian", "s11": "\xe9"}', b"r1,r2\n0,\xff1\n1,0\n"),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(BAD_FILES))
+@pytest.mark.parametrize("command", sorted(BOUNDARY_ARGS))
+def test_unusable_input_file_exits_2(tmp_path, runner, command, problem):
+    path = tmp_path / "in.txt"
+    content = BAD_FILES[problem][command == "figure"]
+    if content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "out"
+    args = [a.replace("{out}", str(out)) for a in BOUNDARY_ARGS[command]]
+    res = runner.invoke(main, args + [str(path)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "error: " in res.output and "Traceback" not in res.output
+    assert not out.exists()
+
+
+def test_standalone_mode_off_raises_the_exit_code(tmp_path):
+    # in-process callers (the benchmark harness) run main.main this way
+    with pytest.raises(SystemExit) as exc:
+        main.main(args=["classify", "--channel", str(tmp_path / "none.json")],
+                  standalone_mode=False)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text", [
+    "r1,r2\n0,8\n4,8,1\n8,0\n",
+    "r1,r2\n0\n8\n",
+    "r1,r2\n0,8,9\n8,0,9\n",
+    "r1,r2\n0,nan\n8,0\n",
+    "r1,r2\n0,8\ninf,0\n",
+], ids=["ragged", "one-column", "three-column", "nan", "inf"])
+def test_figure_compare_rejects_malformed_csv(tmp_path, runner, text):
+    ext = tmp_path / "external.csv"
+    ext.write_text(text)
+    out = tmp_path / "figs"
+    res = runner.invoke(main, ["figure", "--preset", "fig2", "--grid", "5",
+                               "--out", str(out), "--compare", str(ext)])
+    assert res.exit_code == 2, res.output
+    assert "error: " in res.output and "Traceback" not in res.output
+    assert not out.exists()

@@ -351,3 +351,33 @@ def test_outer_region_reaches_r1_cap_on_zero_power_channel():
     for grid_n in (201, 11, 2):
         reg = outer_region(ch, grid_n=grid_n)
         assert reg.r1_max == ob._UnionEvaluator(ch, grid_n).r1_cap
+
+
+def _unchunked_max_sum(ev):
+    return max(float(np.max(ob._cell_max_sum(*np.minimum(
+        ev.sides[i][:, :, None], ev.sides[j][:, None, :])))) for i, j in ev.blocks)
+
+
+@pytest.mark.parametrize("budget", [1, 1000])
+@pytest.mark.parametrize("ch", [FIG2, FIG3, FIG4] + EDGE_CHANNELS)
+def test_max_sum_over_chunks_is_bit_equal(ch, budget, monkeypatch):
+    ev = ob._UnionEvaluator(ch, ob.DEFAULT_GRID)
+    want = _unchunked_max_sum(ev)
+    assert ev.max_sum() == want  # one chunk per block at the default budget
+    monkeypatch.setattr(ob, "MAX_SUM_CELLS", budget)
+    assert ev.max_sum() == want
+
+
+def test_max_sum_memory_does_not_grow_with_the_square_of_the_grid():
+    import tracemalloc
+
+    ev = ob._UnionEvaluator(FIG2, 1001)
+    tracemalloc.start()
+    try:
+        ev.max_sum()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A chunk takes about 17 float arrays of MAX_SUM_CELLS entries (9 MB);
+    # the 1001 x 1001 block in one piece peaked at 136 MB.
+    assert peak < 32 * 8 * ob.MAX_SUM_CELLS

@@ -160,3 +160,28 @@ def test_region_validation():
         RateRegion(np.array([0.0, 1.0]), np.array([0.5, 0.8]))  # increasing r2
     with pytest.raises(InputError):
         RateRegion(np.array([1.0, 0.0]), np.array([1.0, 1.0]))  # r1 not ascending
+
+
+@pytest.mark.parametrize("text", [
+    "r1,r2\n0,1\n1,0,0\n",      # ragged: one row with three values
+    "r1,r2\n0,1,2\n1,0,3\n",    # every row with three values
+    "r1,r2\n0\n1\n",            # one value per row
+    "r1,r2\n0,\n",              # an empty value
+    "r1,r2\n0,nan\n1,0\n",
+    "r1,r2\nnan,1\n1,0\n",
+    "r1,r2\n0,inf\n1,0\n",
+    "r1,r2\n0,1\ninf,0\n",
+    "r1,r2\n0,1\n1,-inf\n",
+], ids=["ragged", "three", "one", "empty", "nan-r2", "nan-r1", "inf-r2", "inf-r1",
+        "-inf-r2"])
+def test_csv_rows_hold_two_finite_numbers(text):
+    with pytest.raises(InputError):
+        from_csv(text)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_region_values_must_be_finite(bad):
+    for r1, r2 in (([0.0, bad], [1.0, 0.0]), ([0.0, 1.0], [bad, 0.0]),
+                   ([bad], [bad])):
+        with pytest.raises(InputError, match="finite"):
+            RateRegion(np.array(r1), np.array(r2))
