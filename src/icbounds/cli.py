@@ -61,7 +61,19 @@ class _Boundary(click.Group):
 
 
 def _load_json(path: str) -> dict:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """The JSON object in ``path``.  An integer literal past Python's digit
+    limit and nesting past its recursion limit are input errors; other
+    malformed JSON raises ``JSONDecodeError`` as it is."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except RecursionError:
+        raise InputError("malformed JSON: nested too deeply") from None
+    except ValueError:
+        raise InputError("malformed JSON: an integer literal has too many "
+                         "digits") from None
     if not isinstance(doc, dict):
         raise InputError("channel spec must be a JSON object")
     return doc

@@ -4,11 +4,14 @@ The bound is a family of 16 linear rate constraints parameterized by a pair
 (alpha, beta) in the unit square; the bound region is the union of the
 per-parameter polytopes.  The union is taken over a warped parameter grid on
 each axis plus two cliff families that pin the feasibility edges, in three
-product blocks.  Each right-hand side depends on alpha alone or on beta
-alone, so the largest R2 at a given R1 over a block is the min of a max over
-its alphas and a max over its betas: two 1-D sweeps instead of a 2-D one,
-with the same values bit for bit.  The frontier is exact at every sampled
-abscissa for the swept parameter set and monotone under grid refinement.
+product blocks.  The 16 right-hand sides are sums of 25 named psi terms,
+each computed once; every term is constant or a monotone function of alpha
+alone or of beta alone.  So each right-hand side depends on alpha alone or
+on beta alone, and the largest R2 at a given R1 over a block is the min of
+a max over its alphas and a max over its betas: two 1-D sweeps instead of a
+2-D one, with the same values bit for bit.  The frontier is exact at every
+sampled abscissa for the swept parameter set and monotone under grid
+refinement.
 """
 
 from __future__ import annotations
@@ -53,9 +56,9 @@ def _squares(ch: GaussianIC) -> tuple[float, float, float, float, float]:
         raise InputError("received powers overflow: the gains or powers are too "
                          "large for floating point")
     products = (
-        (x1 + 1) * (x2 + 1),       # k13's and k14's denominators
+        (x1 + 1) * (x2 + 1),       # be_k13's and al_k14's denominators
         x2 * (x1 + x2 + 1),        # b p2 (snr + 1) in _cliff_alpha
-        x1 + x2 + det2 * ch.p1 * ch.p2,  # k9's and k15's SNR sums
+        x1 + x2 + det2 * ch.p1 * ch.p2,  # y12's SNR, which bounds gt1's and gt2's
     )
     if not all(map(math.isfinite, products)):
         raise InputError("products of received powers overflow: the gains or "
@@ -66,7 +69,12 @@ def _squares(ch: GaussianIC) -> tuple[float, float, float, float, float]:
 def _rhs_table(ch: GaussianIC, alpha, beta):
     """Right-hand sides of the 16 constraints, broadcast over alpha/beta.
 
-    Returns a list of 16 arrays in canonical constraint order.
+    Returns a list of 16 arrays in canonical constraint order.  Each of the
+    25 distinct psi terms is computed once, under a name, and each
+    constraint adds its terms left to right.  ``i11`` ... ``i22`` are
+    psi(s_jk^2 p_k), ``y1``/``y2`` psi of all of y1/y2, ``g1``/``g2`` and
+    ``gt1``/``gt2`` the genie terms of k10-k12 and k16/k15.  An ``al_`` or
+    ``be_`` term depends on that parameter alone and is monotone in it.
     """
     al = np.asarray(alpha, dtype=float)
     be = np.asarray(beta, dtype=float)
@@ -76,66 +84,57 @@ def _rhs_table(ch: GaussianIC, alpha, beta):
     cross_strong_1 = abs(ch.s21) >= abs(ch.s11)  # interference into rx2 at least as loud
     cross_strong_2 = abs(ch.s12) >= abs(ch.s22)
 
-    r1a = psi((a * p1 + b * (1 - al) * p2) / (b * al * p2 + 1)) + d21
-    r1b = psi(a * p1) + d21 + np.zeros_like(al)
-    k1 = np.minimum(r1a, r1b)
+    i11, i12, i21, i22 = psi(a * p1), psi(b * p2), psi(c * p1), psi(d * p2)
+    y1, y2 = psi(a * p1 + b * p2), psi(c * p1 + d * p2)
+    y12 = psi(a * p1 + b * p2 + c * p1 + d * p2 + det2 * p1 * p2)
+    g1 = psi(b * p2 + a * p1 / (c * p1 + 1))
+    g2 = psi(c * p1 + d * p2 / (b * p2 + 1))
+    gt2 = psi(a * p1 + b * p2 / (1 + b * p2) + c * p1
+              + d * p2 / (1 + b * p2) + det2 * p1 * p2 / (1 + b * p2))
+    gt1 = psi(a * p1 / (1 + c * p1) + b * p2 + c * p1 / (1 + c * p1)
+              + d * p2 + det2 * p1 * p2 / (1 + c * p1))
 
-    r2a = psi(a * be * p1 / (c * be * p1 + 1)) + psi(c * p1)
-    r2b = psi(c * be * p1 / (a * be * p1 + 1)) + psi(a * p1)
-    k2 = np.minimum(r2a, r2b)
+    # nondecreasing in alpha
+    al_12, al_22, al_sum = psi(b * al * p2), psi(d * al * p2), psi((b + d) * al * p2)
+    al_22_12 = psi(d * al * p2 / (b * al * p2 + 1))
+    al_12_22 = psi(b * al * p2 / (d * al * p2 + 1))
+    # nonincreasing in alpha
+    al_y1 = psi((a * p1 + b * (1 - al) * p2) / (b * al * p2 + 1))
+    al_k14 = psi(b * (1 - al) * p2 / (1 + b * al * p2)
+                 + a * p1 / ((c * p1 + 1) * (1 + b * al * p2)))
+    # nondecreasing in beta
+    be_11, be_21, be_sum = psi(a * be * p1), psi(c * be * p1), psi((a + c) * be * p1)
+    be_11_21 = psi(a * be * p1 / (c * be * p1 + 1))
+    be_21_11 = psi(c * be * p1 / (a * be * p1 + 1))
+    # nonincreasing in beta
+    be_y2 = psi((c * (1 - be) * p1 + d * p2) / (c * be * p1 + 1))
+    be_k13 = psi(c * (1 - be) * p1 / (1 + c * be * p1)
+                 + d * p2 / ((b * p2 + 1) * (1 + c * be * p1)))
 
-    r3a = psi((c * (1 - be) * p1 + d * p2) / (c * be * p1 + 1)) + d12
-    r3b = psi(d * p2) + d12 + np.zeros_like(be)
-    k3 = np.minimum(r3a, r3b)
-
-    r4a = psi(d * al * p2 / (b * al * p2 + 1)) + psi(b * p2)
-    r4b = psi(b * al * p2 / (d * al * p2 + 1)) + psi(d * p2)
-    k4 = np.minimum(r4a, r4b)
-
+    k1 = np.minimum(al_y1 + d21, i11 + d21)
+    k2 = np.minimum(be_11_21 + i21, be_21_11 + i11)
+    k3 = np.minimum(be_y2 + d12, i22 + d12)
+    k4 = np.minimum(al_22_12 + i12, al_12_22 + i22)
     if cross_strong_1:
-        k5 = psi(c * p1 + d * p2) + d12 + d21 + np.zeros_like(be)
+        k5 = y2 + d12 + d21 + np.zeros_like(be)
     else:
-        k5 = (psi(a * be * p1)
-              + psi((c * (1 - be) * p1 + d * p2) / (c * be * p1 + 1))
-              + d12 + d21)
+        k5 = be_11 + be_y2 + d12 + d21
     if cross_strong_2:
-        k6 = psi(a * p1 + b * p2) + d12 + d21 + np.zeros_like(al)
+        k6 = y1 + d12 + d21 + np.zeros_like(al)
     else:
-        k6 = (psi(d * al * p2)
-              + psi((a * p1 + b * (1 - al) * p2) / (b * al * p2 + 1))
-              + d12 + d21)
-
-    k7 = psi(a * be * p1 / (c * be * p1 + 1)) + psi(c * p1 + d * p2) + d12
-    k8 = psi(d * al * p2 / (b * al * p2 + 1)) + psi(a * p1 + b * p2) + d21
-    k9 = psi(a * p1 + b * p2 + c * p1 + d * p2 + det2 * p1 * p2) + np.zeros_like(al)
-    k10 = (psi(b * p2 + a * p1 / (c * p1 + 1))
-           + psi(c * p1 + d * p2 / (b * p2 + 1))
-           + d12 + d21 + np.zeros_like(al))
-
+        k6 = al_22 + al_y1 + d12 + d21
+    k7 = be_11_21 + y2 + d12
+    k8 = al_22_12 + y1 + d21
+    k9 = y12 + np.zeros_like(al)
+    k10 = g1 + g2 + d12 + d21 + np.zeros_like(al)
     guard1 = 0.0 if cross_strong_1 else 1.0
     guard2 = 0.0 if cross_strong_2 else 1.0
-    k11 = (guard1 * (psi(a * be * p1) - psi(c * be * p1))
-           + psi(c * p1 + d * p2 / (b * p2 + 1))
-           + psi(a * p1 + b * p2) + d12 + 2 * d21)
-    k12 = (guard2 * (psi(d * al * p2) - psi(b * al * p2))
-           + psi(b * p2 + a * p1 / (c * p1 + 1))
-           + psi(c * p1 + d * p2) + 2 * d12 + d21)
-
-    k13 = (psi((a + c) * be * p1)
-           + psi(c * (1 - be) * p1 / (1 + c * be * p1)
-                 + d * p2 / ((b * p2 + 1) * (1 + c * be * p1)))
-           + psi(a * p1 + b * p2) + d12 + d21)
-    k14 = (psi((b + d) * al * p2)
-           + psi(b * (1 - al) * p2 / (1 + b * al * p2)
-                 + a * p1 / ((c * p1 + 1) * (1 + b * al * p2)))
-           + psi(c * p1 + d * p2) + d12 + d21)
-
-    k15 = (psi(a * p1 + b * p2 / (1 + b * p2) + c * p1
-               + d * p2 / (1 + b * p2) + det2 * p1 * p2 / (1 + b * p2))
-           + psi(a * p1 + b * p2) + d21 + np.zeros_like(al))
-    k16 = (psi(a * p1 / (1 + c * p1) + b * p2 + c * p1 / (1 + c * p1)
-               + d * p2 + det2 * p1 * p2 / (1 + c * p1))
-           + psi(c * p1 + d * p2) + d12 + np.zeros_like(al))
+    k11 = guard1 * (be_11 - be_21) + g2 + y1 + d12 + 2 * d21
+    k12 = guard2 * (al_22 - al_12) + g1 + y2 + 2 * d12 + d21
+    k13 = be_sum + be_k13 + y1 + d12 + d21
+    k14 = al_sum + al_k14 + y2 + d12 + d21
+    k15 = gt2 + y1 + d21 + np.zeros_like(al)
+    k16 = gt1 + y2 + d12 + np.zeros_like(al)
 
     return [k1, k2, k3, k4, k5, k6, k7, k8, k9, k10,
             k11, k12, k13, k14, k15, k16]

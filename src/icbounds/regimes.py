@@ -98,7 +98,8 @@ def classify(kind: str, s11: float, s12: float, s21: float, s22: float) -> Regim
     gaussian-6 channels split along (s11^2 - s21^2)/(2 s11 s21) vs s22
     (below or equal: strong regime, above or equal: mixed); gaussian-13
     channels check (s21^2 - s11^2)/(2 s11 s21) >= s12; one-sided channels
-    (kind "one-sided", s12 = 0) check s21 >= s11.
+    (kind "one-sided", s12 = 0) check |s21| >= |s11|, since every one-sided
+    formula sees the gains only through their squares.
     """
     if kind in ("gaussian-6", "gaussian-13"):
         if s11 == 0 or s21 == 0:
@@ -126,9 +127,9 @@ def classify(kind: str, s11: float, s12: float, s21: float, s22: float) -> Regim
     if kind == "one-sided":
         if s12 != 0:
             raise ChannelShapeError("one-sided classification requires s12 = 0")
-        margin = s21 - s11
+        margin = abs(s21) - abs(s11)
         label = "corollary-4" if margin >= 0 else "none"
-        return RegimeReport(label, s11, margin, boundary=margin == 0.0)
+        return RegimeReport(label, abs(s11), margin, boundary=margin == 0.0)
     raise ChannelShapeError(f"unknown channel kind {kind!r}")
 
 
@@ -205,7 +206,7 @@ def sum_capacity_fwd_interference(
 def capacity_region_one_sided(ch: GaussianIC, force: bool = False) -> RateRegion:
     """Capacity region of the one-sided channel, interference decoded at rx2.
 
-    Requires s12 = 0; the regime gate is s21 >= s11.  The region is the
+    Requires s12 = 0; the regime gate is |s21| >= |s11|.  The region is the
     pentagon R1 <= psi(s11^2 p1), R2 <= psi(s22^2 p2),
     R1 + R2 <= psi(s21^2 p1 + s22^2 p2) + d12.
     """

@@ -6,7 +6,9 @@ intersection and region comparisons, the 16 outer-bound constraints at
 one parameter point, and the per-distribution 11-constraint discrete
 kernel.  They import the library's formula sources (``outer_bound._rhs_table``
 and ``COEFFS``, ``discrete._mi_stack``), so the tests that compare against
-them still check the library's own expressions.
+them still check the library's own expressions.  ``rhs_reference`` is the
+exception: a frozen copy of the outer-bound table that the library's must
+equal bit for bit.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from icbounds.discrete import NORM_TOL, DiscreteIC, _mi_stack
 from icbounds.errors import InputError
-from icbounds.gaussian import GaussianIC
-from icbounds.outer_bound import COEFFS, _rhs_table
+from icbounds.gaussian import GaussianIC, psi
+from icbounds.outer_bound import COEFFS, _rhs_table, _squares
 from icbounds.regions import FRONTIER_SAMPLES, RateRegion, point_region
 
 
@@ -408,6 +410,84 @@ def constraints_at(ch: GaussianIC, params: BoundParams) -> list[RateConstraint]:
 def region_at(ch: GaussianIC, params: BoundParams) -> RateRegion:
     """Exact convex polytope cut out by the 16 constraints at (alpha, beta)."""
     return from_constraints(constraints_at(ch, params))
+
+
+def rhs_reference(ch: GaussianIC, alpha, beta):
+    """A frozen copy of ``outer_bound._rhs_table`` as it was written before
+    each information term was named: 43 psi expressions added in the same
+    left-to-right order.  The library's table must equal it bit for bit.
+    """
+    al = np.asarray(alpha, dtype=float)
+    be = np.asarray(beta, dtype=float)
+    a, b, c, d, det2 = _squares(ch)
+    p1, p2 = ch.p1, ch.p2
+    d12, d21 = ch.d12, ch.d21
+    cross_strong_1 = abs(ch.s21) >= abs(ch.s11)  # interference into rx2 at least as loud
+    cross_strong_2 = abs(ch.s12) >= abs(ch.s22)
+
+    r1a = psi((a * p1 + b * (1 - al) * p2) / (b * al * p2 + 1)) + d21
+    r1b = psi(a * p1) + d21 + np.zeros_like(al)
+    k1 = np.minimum(r1a, r1b)
+
+    r2a = psi(a * be * p1 / (c * be * p1 + 1)) + psi(c * p1)
+    r2b = psi(c * be * p1 / (a * be * p1 + 1)) + psi(a * p1)
+    k2 = np.minimum(r2a, r2b)
+
+    r3a = psi((c * (1 - be) * p1 + d * p2) / (c * be * p1 + 1)) + d12
+    r3b = psi(d * p2) + d12 + np.zeros_like(be)
+    k3 = np.minimum(r3a, r3b)
+
+    r4a = psi(d * al * p2 / (b * al * p2 + 1)) + psi(b * p2)
+    r4b = psi(b * al * p2 / (d * al * p2 + 1)) + psi(d * p2)
+    k4 = np.minimum(r4a, r4b)
+
+    if cross_strong_1:
+        k5 = psi(c * p1 + d * p2) + d12 + d21 + np.zeros_like(be)
+    else:
+        k5 = (psi(a * be * p1)
+              + psi((c * (1 - be) * p1 + d * p2) / (c * be * p1 + 1))
+              + d12 + d21)
+    if cross_strong_2:
+        k6 = psi(a * p1 + b * p2) + d12 + d21 + np.zeros_like(al)
+    else:
+        k6 = (psi(d * al * p2)
+              + psi((a * p1 + b * (1 - al) * p2) / (b * al * p2 + 1))
+              + d12 + d21)
+
+    k7 = psi(a * be * p1 / (c * be * p1 + 1)) + psi(c * p1 + d * p2) + d12
+    k8 = psi(d * al * p2 / (b * al * p2 + 1)) + psi(a * p1 + b * p2) + d21
+    k9 = psi(a * p1 + b * p2 + c * p1 + d * p2 + det2 * p1 * p2) + np.zeros_like(al)
+    k10 = (psi(b * p2 + a * p1 / (c * p1 + 1))
+           + psi(c * p1 + d * p2 / (b * p2 + 1))
+           + d12 + d21 + np.zeros_like(al))
+
+    guard1 = 0.0 if cross_strong_1 else 1.0
+    guard2 = 0.0 if cross_strong_2 else 1.0
+    k11 = (guard1 * (psi(a * be * p1) - psi(c * be * p1))
+           + psi(c * p1 + d * p2 / (b * p2 + 1))
+           + psi(a * p1 + b * p2) + d12 + 2 * d21)
+    k12 = (guard2 * (psi(d * al * p2) - psi(b * al * p2))
+           + psi(b * p2 + a * p1 / (c * p1 + 1))
+           + psi(c * p1 + d * p2) + 2 * d12 + d21)
+
+    k13 = (psi((a + c) * be * p1)
+           + psi(c * (1 - be) * p1 / (1 + c * be * p1)
+                 + d * p2 / ((b * p2 + 1) * (1 + c * be * p1)))
+           + psi(a * p1 + b * p2) + d12 + d21)
+    k14 = (psi((b + d) * al * p2)
+           + psi(b * (1 - al) * p2 / (1 + b * al * p2)
+                 + a * p1 / ((c * p1 + 1) * (1 + b * al * p2)))
+           + psi(c * p1 + d * p2) + d12 + d21)
+
+    k15 = (psi(a * p1 + b * p2 / (1 + b * p2) + c * p1
+               + d * p2 / (1 + b * p2) + det2 * p1 * p2 / (1 + b * p2))
+           + psi(a * p1 + b * p2) + d21 + np.zeros_like(al))
+    k16 = (psi(a * p1 / (1 + c * p1) + b * p2 + c * p1 / (1 + c * p1)
+               + d * p2 + det2 * p1 * p2 / (1 + c * p1))
+           + psi(c * p1 + d * p2) + d12 + np.zeros_like(al))
+
+    return [k1, k2, k3, k4, k5, k6, k7, k8, k9, k10,
+            k11, k12, k13, k14, k15, k16]
 
 
 # ---------------------------------------------------------------------------

@@ -347,7 +347,7 @@ def one_sided_discrete_doc(d12=0.4):
 
 
 # gaussian-6 with (s11, s21) = (2, 1) has threshold 0.75, gaussian-13 with
-# (1, 2) has threshold 0.75; the one-sided gate is s21 >= s11.
+# (1, 2) has threshold 0.75; the one-sided gate is |s21| >= |s11|.
 MATRIX_SPECS = {
     "g6-cor1": cascade_doc("gaussian-6", 2.0, 1.0, 2.0, 0.9),
     "g6-cor2": cascade_doc("gaussian-6", 3.0, 1.0, 1.0, 1.0),
@@ -364,6 +364,12 @@ MATRIX_SPECS = {
     "os-near": gaussian_doc(s11=1.0, s12=0.0, s21=1.0 - 5e-10, s22=1.0, d12=0.1,
                             d21=0.0),
     "os-none": gaussian_doc(s11=2.0, s12=0.0, s21=1.0, s22=1.0, d12=0.1, d21=0.0),
+    # the one-sided formulas see only squared gains: a negative gain keeps
+    # the exit codes and the bytes of its positive twin
+    "os-cor4-neg": gaussian_doc(s11=1.0, s12=0.0, s21=-2.0, s22=1.0, d12=0.1,
+                                d21=0.0),
+    "os-none-neg": gaussian_doc(s11=-2.0, s12=0.0, s21=1.0, s22=1.0, d12=0.1,
+                                d21=0.0),
     "coupled": gaussian_doc(),
     "discrete": discrete_doc(d12=0.5),
     "discrete-os": one_sided_discrete_doc(),
@@ -431,6 +437,8 @@ INNER_MATRIX = {
     ("os-none", "3"): (2, 2, ""),
     ("os-none", "4"): (2, 2, ""),
     ("os-none", "5"): (4, 0, "e173a0874fa086b7"),
+    ("os-cor4-neg", "5"): (0, 0, "04c8975a4879d7bd"),
+    ("os-none-neg", "5"): (4, 0, "e173a0874fa086b7"),
     ("coupled", "2"): (2, 2, ""),
     ("coupled", "3"): (2, 2, ""),
     ("coupled", "4"): (2, 2, ""),
@@ -894,6 +902,28 @@ def test_unusable_input_file_exits_2(tmp_path, runner, command, problem):
     assert isinstance(res.exception, SystemExit)
     assert "error: " in res.output and "Traceback" not in res.output
     assert not out.exists()
+
+
+# JSON that json.loads rejects with a ValueError or RecursionError of its
+# own rather than a JSONDecodeError: an integer literal past Python's
+# int-string digit limit, and nesting past the recursion limit
+OVER_LIMIT_JSON = {
+    "long-integer": '{"type": "gaussian", "s11": %s}' % ("1" * 5001),
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_LIMIT_JSON))
+@pytest.mark.parametrize("command", ["classify", "simulate"])
+def test_json_past_python_limits_exits_2(tmp_path, runner, command, case):
+    path = tmp_path / "in.json"
+    path.write_text(OVER_LIMIT_JSON[case])
+    flag = "--config" if command == "simulate" else "--channel"
+    res = runner.invoke(main, [command, flag, str(path)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "error: malformed JSON" in res.output
+    assert "Traceback" not in res.output
 
 
 def test_standalone_mode_off_raises_the_exit_code(tmp_path):

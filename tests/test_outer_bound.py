@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from reference import (
     includes,
     is_point,
     region_at,
+    rhs_reference,
 )
 
 FIG2 = GaussianIC(100, 60, 60, 100, 1.0, 1.0, 0.5, 0.5)
@@ -245,6 +249,53 @@ def test_rhs_entries_depend_on_one_parameter(rng):
         assert len(rhs) == 16
         for r in rhs:
             assert np.shape(r) in ((7, 1), (1, 5))
+
+
+def _signed_channel(rng):
+    """Gains of either sign, a gain or a power zero about one time in five."""
+    s = rng.uniform(-3.0, 3.0, size=4)
+    s[rng.random(4) < 0.2] = 0.0
+    p = rng.uniform(0.1, 5.0, size=2)
+    p[rng.random(2) < 0.2] = 0.0
+    return GaussianIC(*s, *p, *rng.uniform(0.0, 1.0, size=2))
+
+
+def _assert_table_is_reference(ch, alpha, beta):
+    got, want = ob._rhs_table(ch, alpha, beta), rhs_reference(ch, alpha, beta)
+    assert len(got) == len(want) == 16
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert np.shape(g) == np.shape(w), f"c{i + 1:02d}"
+        assert np.array_equal(g, w), f"c{i + 1:02d}"
+
+
+def test_rhs_table_matches_frozen_reference(rng):
+    chans = [FIG2, FIG3, FIG4] + EDGE_CHANNELS
+    chans += [_signed_channel(rng) for _ in range(200)]
+    branches = {(abs(ch.s21) >= abs(ch.s11), abs(ch.s12) >= abs(ch.s22))
+                for ch in chans}
+    assert {b[0] for b in branches} == {b[1] for b in branches} == {False, True}
+    assert any(0.0 in (ch.s11, ch.s12, ch.s21, ch.s22) for ch in chans)
+    assert any(0.0 in (ch.p1, ch.p2) for ch in chans)
+    for ch in chans:
+        a, b, c, d, _ = ob._squares(ch)
+        al = np.concatenate([[0.0, 1.0], ob._param_grid(11, (b + d) * ch.p2),
+                             ob._cliff_alpha(ch, ob.CLIFF_LEVELS)])
+        be = np.concatenate([[0.0, 1.0], ob._param_grid(11, (a + c) * ch.p1),
+                             ob._cliff_beta(ch, ob.CLIFF_LEVELS)])
+        _assert_table_is_reference(ch, al[:, None], be[None, :])
+        for params in ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), tuple(rng.uniform(size=2))):
+            _assert_table_is_reference(ch, *params)
+
+
+def test_rhs_table_writes_each_psi_term_once():
+    tree = ast.parse(inspect.getsource(ob))
+    fn = next(n for n in tree.body
+              if isinstance(n, ast.FunctionDef) and n.name == "_rhs_table")
+    args = [ast.dump(ast.Tuple(elts=n.args, ctx=ast.Load()))
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "psi"]
+    assert len(args) <= 25
+    assert len(set(args)) == len(args), "a psi term is written twice"
 
 
 def test_evaluator_rejects_mixed_parameter_rhs(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -86,6 +87,33 @@ def test_classify_one_sided():
     assert rep.label == "corollary-4" and rep.margin == pytest.approx(1.0)
     rep = classify("one-sided", 3.0, 0.0, 2.0, 1.0)
     assert rep.label == "none"
+
+
+def test_one_sided_gate_ignores_gain_signs(rng):
+    # every one-sided formula sees the gains only through their squares, so
+    # flipping the sign of s11, s21 or s22 changes neither the report nor
+    # the region; (2, 1) and (1, 2) at either sign are the two repro shapes
+    chans = [(2.0, 1.0, 1.0), (1.0, 2.0, 1.0), (1.0, 1.0, 1.0)]
+    chans += [tuple(rng.uniform(0.0, 2.5, size=3)) for _ in range(40)]
+    labels = set()
+    for s11, s21, s22 in chans:
+        base = classify("one-sided", s11, 0.0, s21, s22)
+        labels.add(base.label)
+        if base.label != "none":
+            want = capacity_region_one_sided(GaussianIC(s11, 0.0, s21, s22,
+                                                        1.5, 0.8, 0.3, 0.0))
+        for f11, f21, f22 in itertools.product((1.0, -1.0), repeat=3):
+            gains = (f11 * s11, 0.0, f21 * s21, f22 * s22)
+            assert classify("one-sided", *gains) == base, gains
+            ch = GaussianIC(*gains, 1.5, 0.8, 0.3, 0.0)
+            if base.label == "none":
+                with pytest.raises(RegimeViolationError):
+                    capacity_region_one_sided(ch)
+            else:
+                reg = capacity_region_one_sided(ch)
+                assert np.array_equal(reg.r1, want.r1)
+                assert np.array_equal(reg.r2, want.r2)
+    assert labels == {"corollary-4", "none"}
 
 
 def test_classify_errors():
