@@ -6,8 +6,8 @@ simulation JSON on stdout.  Each numeric field, and each entry of the flat
 lists ``w``, ``p1`` and ``p2``, must be a JSON number (not a string or a
 boolean).  The group's ``invoke`` alone turns errors into exit codes: 0
 success, 2 malformed input (fields, JSON, CSV, an unreadable or non-UTF-8
-file) or a simulation over its codebook cap, 3 undefined threshold, 4
-regime violation.
+file), a simulation over its codebook cap or memory running out (say, at a
+huge ``--grid``), 3 undefined threshold, 4 regime violation.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ FIGURE_PRESETS = {
 EXIT_CODES = {  # exception kind -> exit code, tried in order
     UndefinedThresholdError: 3, RegimeViolationError: 4,
     InputError: 2, ResourceLimitError: 2, json.JSONDecodeError: 2, OSError: 2,
-    UnicodeDecodeError: 2,
+    UnicodeDecodeError: 2, MemoryError: 2,
 }
 
 
@@ -56,7 +56,10 @@ class _Boundary(click.Group):
             return super().invoke(ctx)
         except tuple(EXIT_CODES) as exc:
             code = next(c for kind, c in EXIT_CODES.items() if isinstance(exc, kind))
-            click.echo(f"error: {exc}", err=True)
+            text = str(exc)
+            if isinstance(exc, MemoryError):  # a bare MemoryError has no message
+                text = f"out of memory ({text})" if text else "out of memory"
+            click.echo(f"error: {text}", err=True)
             sys.exit(code)
 
 

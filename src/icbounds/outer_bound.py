@@ -159,9 +159,10 @@ def _param_grid(n: int, snr: float) -> np.ndarray:
 
 
 CLIFF_LEVELS = 256
-# Cells per chunk of a block in ``max_sum``, so that its memory does not grow
-# with the square of the grid.  Grids up to 256 (the largest block at grid
-# 201 is 256 x 201 = 51,456 cells) take each block in one chunk.
+# Cells per chunk in ``max_sum`` and ``_side_frontier``: parameters x
+# parameters there, parameters x abscissae here (128 columns of 512
+# abscissae).  Memory then does not grow with the square of the grid, and a
+# chunk's temporaries stay near cache size.
 MAX_SUM_CELLS = 1 << 16
 
 
@@ -238,14 +239,21 @@ def _side_frontier(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """max over one side's parameters of F_x, for each abscissa in x.
 
     F_x = min(m01, m11 - x, m21 - 2x, (m12 - x)/2), or -inf where m10 < x.
+    The parameters are taken in chunks of at most MAX_SUM_CELLS // x.size
+    columns and folded into a running max, which is exact, so memory stays
+    at one chunk's temporaries whatever the grid.
     """
-    m10, m01, m11, m21, m12 = m[:, :, None]
-    f = m11 - x
-    np.minimum(f, m01, out=f)
-    np.minimum(f, m21 - 2.0 * x, out=f)
-    np.minimum(f, (m12 - x) / 2.0, out=f)
-    f[m10 < x] = -np.inf
-    return f.max(axis=0)
+    out = np.full(x.shape, -np.inf)
+    step = max(1, MAX_SUM_CELLS // max(x.size, 1))
+    for lo in range(0, m.shape[1], step):
+        m10, m01, m11, m21, m12 = m[:, lo:lo + step, None]
+        f = m11 - x
+        np.minimum(f, m01, out=f)
+        np.minimum(f, m21 - 2.0 * x, out=f)
+        np.minimum(f, (m12 - x) / 2.0, out=f)
+        f[m10 < x] = -np.inf
+        np.maximum(out, f.max(axis=0), out=out)
+    return out
 
 
 class _UnionEvaluator:
@@ -298,11 +306,32 @@ class _UnionEvaluator:
         return out
 
     def max_sum(self) -> float:
-        """Exact max of R1 + R2 over the union of cell polytopes, taken over
-        row chunks of each block of at most MAX_SUM_CELLS cells."""
+        """Exact max of R1 + R2 over the union of cell polytopes.
+
+        A cell's value ``_cell_max_sum(min(a, b))`` is nondecreasing in each
+        reduced bound, in floating point too (min, sum, halving and thirds
+        round monotonically), so ``_cell_max_sum`` of one parameter's side
+        bounds alone is an upper bound on every cell that parameter is in.
+        For each block, the parameter with the largest such bound on each
+        side is swept first against the whole other side; the largest of
+        those cell values is ``best``.  Only parameters whose bound exceeds
+        ``best`` can be in a larger cell, so only their rows and columns are
+        swept, in row chunks of at most MAX_SUM_CELLS cells.  The result is
+        the max of a subset of the cell values that holds the maximiser:
+        bit-equal to sweeping every cell.
+        """
+        bound = [_cell_max_sum(*m) for m in self.sides]
         best = -np.inf
         for i, j in self.blocks:
-            a, b = self.sides[i], self.sides[j]
+            for k, other in ((i, j), (j, i)):
+                row = self.sides[k][:, [bound[k].argmax()]]
+                best = max(best, float(np.max(_cell_max_sum(*np.minimum(
+                    row, self.sides[other])))))
+        for i, j in self.blocks:
+            a = self.sides[i][:, bound[i] > best]
+            b = self.sides[j][:, bound[j] > best]
+            if not b.size:
+                continue
             step = max(1, MAX_SUM_CELLS // b.shape[1])
             for lo in range(0, a.shape[1], step):
                 best = max(best, float(np.max(_cell_max_sum(*np.minimum(

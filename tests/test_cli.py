@@ -1,11 +1,16 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import icbounds
 from icbounds.cli import FIGURE_PRESETS, main
 
 
@@ -950,3 +955,33 @@ def test_figure_compare_rejects_malformed_csv(tmp_path, runner, text):
     assert res.exit_code == 2, res.output
     assert "error: " in res.output and "Traceback" not in res.output
     assert not out.exists()
+
+
+def _limit_address_space():
+    import resource
+
+    # 4 GB: an allocation of terabytes then fails at once on any host
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("command", [
+    ["outer", "--channel", "{gaussian}", "--out", "{out}"],
+    ["figure", "--preset", "fig2", "--out", "{out}"],
+    ["inner", "--theorem", "2", "--channel", "{discrete}"],
+    ["check", "--condition", "4", "--channel", "{discrete}"],
+], ids=["outer", "figure", "inner", "check"])
+def test_grid_past_memory_exits_2(tmp_path, command):
+    paths = {"{gaussian}": write_json(tmp_path / "g.json", gaussian_doc()),
+             "{discrete}": write_json(tmp_path / "d.json", discrete_doc()),
+             "{out}": str(tmp_path / "out")}
+    args = [paths.get(a, a) for a in command] + ["--grid", "1000000000000"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(icbounds.__file__).resolve().parent.parent),
+                    os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "icbounds", *args], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines
+    assert "Traceback" not in proc.stderr and proc.stdout == ""

@@ -221,12 +221,17 @@ EDGE_CHANNELS = [
 ]
 
 
+def _oracle_abscissae(r1_cap, rng):
+    """512 even abscissae up to r1_cap and 200 random ones, some outside."""
+    return np.concatenate([np.linspace(0.0, r1_cap, 512),
+                           rng.uniform(-0.2, 1.2, 200) * max(r1_cap, 1.0)])
+
+
 def _assert_matches_oracle(ch, grid_n, rng):
     want = FlatUnionOracle(ch, grid_n)
     got = ob._UnionEvaluator(ch, grid_n)
     assert got.r1_cap == want.r1_cap
-    xs = np.concatenate([np.linspace(0.0, want.r1_cap, 512),
-                         rng.uniform(-0.2, 1.2, 200) * max(want.r1_cap, 1.0)])
+    xs = _oracle_abscissae(want.r1_cap, rng)
     assert np.array_equal(got.frontier(xs), want.frontier(xs))
     assert got.max_sum() == want.max_sum()
 
@@ -417,6 +422,65 @@ def test_max_sum_over_chunks_is_bit_equal(ch, budget, monkeypatch):
     assert ev.max_sum() == want  # one chunk per block at the default budget
     monkeypatch.setattr(ob, "MAX_SUM_CELLS", budget)
     assert ev.max_sum() == want
+
+
+@pytest.mark.parametrize("ch", [FIG2, FIG3, FIG4] + EDGE_CHANNELS)
+def test_frontier_over_chunks_is_bit_equal(ch, rng, monkeypatch):
+    oracle = FlatUnionOracle(ch, 21)
+    xs = _oracle_abscissae(oracle.r1_cap, rng)
+    want = oracle.frontier(xs)
+    ev = ob._UnionEvaluator(ch, 21)
+    # one column per chunk (1 and 1000 cells at 712 abscissae), then 46
+    # columns, so that the last chunk of a 256-column cliff side is partial
+    for budget in (1, 1000, 1 << 15):
+        monkeypatch.setattr(ob, "MAX_SUM_CELLS", budget)
+        assert np.array_equal(ev.frontier(xs), want)
+
+
+def test_pruned_max_sum_is_exact(rng):
+    chans = [FIG2, FIG3, FIG4] + EDGE_CHANNELS
+    chans += [_signed_channel(rng) for _ in range(200)]
+    # s12 = 0 leaves no alpha cliffs, so a block drops out
+    assert any(ch.s12 == 0.0 for ch in chans)
+    assert any(0.0 in (ch.p1, ch.p2) for ch in chans)
+    for grid_n in (2, 11, 201):
+        for ch in chans:
+            ev = ob._UnionEvaluator(ch, grid_n)
+            assert ev.max_sum() == _unchunked_max_sum(ev)
+
+
+@pytest.mark.parametrize("ch", [FIG2, FIG3, FIG4], ids=["fig2", "fig3", "fig4"])
+def test_max_sum_sweeps_under_half_the_cells(ch, monkeypatch):
+    ev = ob._UnionEvaluator(ch, ob.DEFAULT_GRID)
+    total = sum(ev.sides[i].shape[1] * ev.sides[j].shape[1] for i, j in ev.blocks)
+    assert total == 143_313
+    swept, cell_max_sum = [], ob._cell_max_sum
+
+    def counting(*m):
+        out = cell_max_sum(*m)
+        swept.append(out.size)
+        return out
+
+    monkeypatch.setattr(ob, "_cell_max_sum", counting)
+    ev.max_sum()
+    # side bounds, seed rows and columns, and the swept chunks together
+    assert sum(swept) < total / 2
+
+
+def test_frontier_memory_does_not_grow_with_the_grid():
+    import tracemalloc
+
+    ev = ob._UnionEvaluator(FIG2, 5001)
+    xs = np.linspace(0.0, ev.r1_cap, 512)
+    tracemalloc.start()
+    try:
+        ev.frontier(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a chunk of 128 columns x 512 abscissae takes about 1.2 MB; all 5257
+    # columns of a side at once peaked at 41 MB
+    assert peak < 4 << 20
 
 
 def test_max_sum_memory_does_not_grow_with_the_square_of_the_grid():

@@ -30,3 +30,34 @@ def test_script_runs(tmp_path, script, args):
         names = sorted(p.name for p in (tmp_path / "figs").iterdir())
         assert names == sorted(f"{f}_bound{h}.csv" for f in ("fig2", "fig3", "fig4")
                                for h in ("", "_hull"))
+
+
+def _record_bench():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("record_bench",
+                                                  SCRIPTS / "record_bench.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_record_bench_parses_and_summarizes_a_canned_run(tmp_path):
+    rb = _record_bench()
+    line = ('{"correct": true, "attempted": 120, "failed": 0, "metrics": '
+            '{"ops_per_s": {"value": 130.5, "unit": "ops/s"}, '
+            '"latency_tail_ms": {"value": 10.25, "unit": "ms"}}}')
+    res = rb.parse_result("# workload outer-figures  seed 41\n"
+                          "         ops_per_s = 130.5 ops/s\n" + line + "\n")
+    assert res == {"correct": True, "attempted": 120, "failed": 0,
+                   "metrics": {"ops_per_s": 130.5, "latency_tail_ms": 10.25},
+                   "units": {"ops_per_s": "ops/s", "latency_tail_ms": "ms"}}
+    with pytest.raises(ValueError):
+        rb.parse_result("\n")
+    runs = [{"workload": "w", "metrics": {"m": v}} for v in (4.0, 1.0, 3.0, 2.0)]
+    runs.append({"workload": "one", "metrics": {"m": 7.0}})
+    assert rb.summarize(runs) == {
+        "w": {"m": {"n": 4, "median": 2.5, "q1": 1.75, "q3": 3.25}},
+        "one": {"m": {"n": 1, "median": 7.0, "q1": 7.0, "q3": 7.0}},
+    }
+    assert rb.revision(tmp_path) == "unknown"
