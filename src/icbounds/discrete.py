@@ -11,10 +11,10 @@ once over the whole stack with 0 log 0 = 0.  An entropy sums each table's positi
 table order, by one path for every stack, so a table's value is the same
 float alone or in any stack.  The condition searches and the inner regions
 evaluate their whole product-input lattice (and, for condition 7, every
-auxiliary kernel at every probe input) as such stacks, in blocks of at
-most BLOCK_CELLS table cells, so peak memory does not grow with the
-lattice.  Their set-up (lattices, input pairs, structured kernels, the
-degradedness test) is array code with no loop over symbols or cells.
+auxiliary kernel at every probe input) as such stacks, in blocks from
+``regions.chunks``, so peak memory does not grow with the lattice.  Their
+set-up (lattices, input pairs, structured kernels, the degradedness test)
+is array code with no loop over symbols or cells.
 
 The per-distribution 11-constraint outer-bound kernel and ``mi``, a
 validated batch-of-one call into :func:`_mi_stack`, are test references in
@@ -30,14 +30,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ChannelShapeError, InputError
-from .regions import RateRegion, hull_of_points, pentagon_vertices
+from .regions import RateRegion, chunks, hull_of_points, pentagon_vertices
 
 NORM_TOL = 1e-12
 DEGRADE_TOL = 1e-9
-# Joint-table cells per kernel call in the lattice searches: a block holds
-# BLOCK_CELLS // (cells of one table) tables, so its arrays take the same
-# memory whatever the alphabets and however large the lattice.
-BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,9 +123,9 @@ def _mi_stack(stack: np.ndarray, axes: Sequence[str], terms) -> np.ndarray:
 def _by_blocks(rows: int, cells: int, fn) -> np.ndarray:
     """``fn(idx)`` over consecutive blocks of row indices, joined along the
     last axis; each row stands for one joint table of ``cells`` cells."""
-    step = max(1, BLOCK_CELLS // cells)
-    return np.concatenate([fn(np.arange(lo, min(lo + step, rows)))
-                           for lo in range(0, rows, step)], axis=-1)
+    idx = np.arange(rows)
+    return np.concatenate([fn(idx[block]) for block in chunks(rows, cells)],
+                          axis=-1)
 
 
 AXES4 = ("x1", "x2", "y1", "y2")
@@ -197,8 +193,9 @@ def _input_gap_search(ch: DiscreteIC, grid: int, refine: int = 2):
     return best
 
 
-def _shrink_patch(center: np.ndarray, lattice: np.ndarray, scale: float = 0.2):
-    pts = center[None, :] + scale * (lattice - center[None, :])
+def _shrink_patch(center: np.ndarray, lattice: np.ndarray):
+    """The lattice shrunk by a factor 5 toward ``center``, renormalized."""
+    pts = center[None, :] + 0.2 * (lattice - center[None, :])
     pts = np.maximum(pts, 0.0)
     return pts / pts.sum(axis=1, keepdims=True)
 
@@ -220,14 +217,14 @@ def _degraded_given(ch: DiscreteIC, which: str) -> bool:
     return not np.any(live[:, None] & (np.abs(cond - ref) > DEGRADE_TOL))
 
 
-def one_sided_factorization(ch: DiscreteIC, tol: float = DEGRADE_TOL) -> bool:
-    """True when P(y1,y2|x1,x2) factors as P(y1|x1) P(y2|x1,x2)."""
+def one_sided_factorization(ch: DiscreteIC) -> bool:
+    """True when P(y1,y2|x1,x2) = P(y1|x1) P(y2|x1,x2) within DEGRADE_TOL."""
     py1 = ch.w.sum(axis=1)  # (y1, x1, x2)
-    if np.max(np.abs(py1 - py1[:, :, :1])) > tol:
+    if np.max(np.abs(py1 - py1[:, :, :1])) > DEGRADE_TOL:
         return False
     py2 = ch.w.sum(axis=0)  # (y2, x1, x2)
     recon = np.einsum("cab,dab->cdab", py1, py2)
-    return bool(np.max(np.abs(recon - ch.w)) <= tol)
+    return bool(np.max(np.abs(recon - ch.w)) <= DEGRADE_TOL)
 
 
 def _sample_v_kernels(ch: DiscreteIC, aux_card: int, samples: int,

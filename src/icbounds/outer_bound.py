@@ -4,14 +4,15 @@ The bound is a family of 16 linear rate constraints parameterized by a pair
 (alpha, beta) in the unit square; the bound region is the union of the
 per-parameter polytopes.  The union is taken over a warped parameter grid on
 each axis plus two cliff families that pin the feasibility edges, in three
-product blocks.  The 16 right-hand sides are sums of 25 named psi terms,
-each computed once; every term is constant or a monotone function of alpha
-alone or of beta alone.  So each right-hand side depends on alpha alone or
-on beta alone, and the largest R2 at a given R1 over a block is the min of
-a max over its alphas and a max over its betas: two 1-D sweeps instead of a
-2-D one, with the same values bit for bit.  The frontier is exact at every
+product blocks: grid x grid, alpha cliffs x beta grid and alpha grid x beta
+cliffs (143,313 cells at grid 201).  The 16 right-hand sides are sums of 25
+named psi terms, each computed once; every term is constant or a monotone
+function of alpha alone or of beta alone.  So each right-hand side depends
+on alpha alone or on beta alone, and the largest R2 at a given R1 over a
+block is the min of a max over its alphas and a max over its betas: two 1-D
+sweeps instead of a 2-D one, with the same values bit for bit.  The frontier is exact at every
 sampled abscissa for the swept parameter set and monotone under grid
-refinement.
+refinement.  Both sweeps take their cells in ``regions.chunks``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import InputError
 from .gaussian import GaussianIC, psi
-from .regions import FRONTIER_SAMPLES, RateRegion, point_region
+from .regions import FRONTIER_SAMPLES, RateRegion, chunks
 
 # (c1, c2) coefficient pattern of each of the 16 constraints, in order.
 COEFFS: tuple[tuple[float, float], ...] = (
@@ -159,15 +160,11 @@ def _param_grid(n: int, snr: float) -> np.ndarray:
 
 
 CLIFF_LEVELS = 256
-# Cells per chunk in ``max_sum`` and ``_side_frontier``: parameters x
-# parameters there, parameters x abscissae here (128 columns of 512
-# abscissae).  Memory then does not grow with the square of the grid, and a
-# chunk's temporaries stay near cache size.
-MAX_SUM_CELLS = 1 << 16
 
 
-def _cliff_alpha(ch: GaussianIC, levels: int) -> np.ndarray:
-    """Parameters where the alpha-side single-user bound hits uniform levels.
+def _cliff_alpha(a: float, b: float) -> np.ndarray:
+    """Parameters where the alpha-side single-user bound hits CLIFF_LEVELS
+    uniform levels, given the received powers a = s11^2 p1 and b = s12^2 p2.
 
     The per-column maximum often sits exactly where that bound equals the
     queried abscissa, so a fixed family of such parameters pins the
@@ -175,20 +172,17 @@ def _cliff_alpha(ch: GaussianIC, levels: int) -> np.ndarray:
     conference capacities, keeping sweeps with different budgets cell-wise
     comparable).
     """
-    s11_sq, s12_sq = _squares(ch)[:2]
-    a, b = s11_sq * ch.p1, s12_sq * ch.p2
     if b <= 0:
         return np.empty(0)
     lo, hi = psi(a / (b + 1)), psi(a + b)
-    snr = np.exp2(2.0 * np.linspace(lo, hi, levels)) - 1.0
+    snr = np.exp2(2.0 * np.linspace(lo, hi, CLIFF_LEVELS)) - 1.0
     vals = (a + b - snr) / (b * (snr + 1.0))
     return np.clip(vals, 0.0, 1.0)
 
 
-def _cliff_beta(ch: GaussianIC, levels: int) -> np.ndarray:
-    """Beta values where the beta-side single-user bound hits uniform levels."""
-    s11_sq, _, s21_sq = _squares(ch)[:3]
-    a, c = s11_sq * ch.p1, s21_sq * ch.p1
+def _cliff_beta(a: float, c: float) -> np.ndarray:
+    """Beta values where the beta-side single-user bound hits CLIFF_LEVELS
+    uniform levels, given the received powers a = s11^2 p1 and c = s21^2 p1."""
     if a <= 0 and c <= 0:
         return np.empty(0)
     dense = _param_grid(4097, a + c)
@@ -196,7 +190,7 @@ def _cliff_beta(ch: GaussianIC, levels: int) -> np.ndarray:
         psi(a * dense / (c * dense + 1)) + psi(c),
         psi(c * dense / (a * dense + 1)) + psi(a),
     )
-    lvl = np.linspace(bound[0], bound[-1], levels)
+    lvl = np.linspace(bound[0], bound[-1], CLIFF_LEVELS)
     return np.interp(lvl, bound, dense)
 
 
@@ -239,14 +233,14 @@ def _side_frontier(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """max over one side's parameters of F_x, for each abscissa in x.
 
     F_x = min(m01, m11 - x, m21 - 2x, (m12 - x)/2), or -inf where m10 < x.
-    The parameters are taken in chunks of at most MAX_SUM_CELLS // x.size
-    columns and folded into a running max, which is exact, so memory stays
-    at one chunk's temporaries whatever the grid.
+    The parameters are taken in ``regions.chunks`` of x.size cells each and
+    folded into a running max, which is exact, so memory stays at one
+    chunk's temporaries whatever the grid.  A side with no parameters gives
+    -inf everywhere.
     """
     out = np.full(x.shape, -np.inf)
-    step = max(1, MAX_SUM_CELLS // max(x.size, 1))
-    for lo in range(0, m.shape[1], step):
-        m10, m01, m11, m21, m12 = m[:, lo:lo + step, None]
+    for cols in chunks(m.shape[1], x.size):
+        m10, m01, m11, m21, m12 = m[:, cols, None]
         f = m11 - x
         np.minimum(f, m01, out=f)
         np.minimum(f, m21 - 2.0 * x, out=f)
@@ -275,11 +269,13 @@ class _UnionEvaluator:
     """
 
     def __init__(self, ch: GaussianIC, grid_n: int):
+        if grid_n < 2:
+            raise InputError("grid_n must be at least 2")
         s11_sq, s12_sq, s21_sq, s22_sq, _ = _squares(ch)
         al_g = _param_grid(grid_n, (s12_sq + s22_sq) * ch.p2)
         be_g = _param_grid(grid_n, (s11_sq + s21_sq) * ch.p1)
-        al_c = _cliff_alpha(ch, CLIFF_LEVELS)
-        be_c = _cliff_beta(ch, CLIFF_LEVELS)
+        al_c = _cliff_alpha(s11_sq * ch.p1, s12_sq * ch.p2)
+        be_c = _cliff_beta(s11_sq * ch.p1, s21_sq * ch.p1)
         al = np.concatenate([al_g, al_c])
         be = np.concatenate([be_g, be_c])
         rhs = _rhs_table(ch, al[:, None], be[None, :])
@@ -299,7 +295,7 @@ class _UnionEvaluator:
 
     def frontier(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        side_max = [_side_frontier(m, x) if m.size else None for m in self.sides]
+        side_max = [_side_frontier(m, x) for m in self.sides]
         out = np.full(x.shape, -np.inf)
         for i, j in self.blocks:
             np.maximum(out, np.minimum(side_max[i], side_max[j]), out=out)
@@ -316,7 +312,7 @@ class _UnionEvaluator:
         side is swept first against the whole other side; the largest of
         those cell values is ``best``.  Only parameters whose bound exceeds
         ``best`` can be in a larger cell, so only their rows and columns are
-        swept, in row chunks of at most MAX_SUM_CELLS cells.  The result is
+        swept, in ``regions.chunks`` of rows.  The result is
         the max of a subset of the cell values that holds the maximiser:
         bit-equal to sweeping every cell.
         """
@@ -332,10 +328,9 @@ class _UnionEvaluator:
             b = self.sides[j][:, bound[j] > best]
             if not b.size:
                 continue
-            step = max(1, MAX_SUM_CELLS // b.shape[1])
-            for lo in range(0, a.shape[1], step):
+            for rows in chunks(a.shape[1], b.shape[1]):
                 best = max(best, float(np.max(_cell_max_sum(*np.minimum(
-                    a[:, lo:lo + step, None], b[:, None, :])))))
+                    a[:, rows, None], b[:, None, :])))))
         return best
 
 
@@ -364,19 +359,15 @@ def _evaluator(ch: GaussianIC, grid_n: int) -> _UnionEvaluator:
 
 
 def outer_region(ch: GaussianIC, grid_n: int = DEFAULT_GRID) -> RateRegion:
-    """Union of the per-parameter polytopes over a grid_n x grid_n sweep,
-    sampled on the CSV grid: FRONTIER_SAMPLES even abscissae up to r1_cap."""
-    if grid_n < 2:
-        raise InputError("grid_n must be at least 2")
+    """Union of the per-parameter polytopes over grid_n warped values per
+    axis plus the two cliff families, in three product blocks, sampled on
+    the CSV grid: FRONTIER_SAMPLES even abscissae up to r1_cap (all at 0,
+    the bound's largest R2, when r1_cap is 0)."""
     ev = _evaluator(ch, grid_n)
-    if ev.r1_cap <= 0:
-        return point_region()
     grid = np.linspace(0.0, ev.r1_cap, FRONTIER_SAMPLES)
     return RateRegion(grid, ev.frontier(grid), frontier_fn=ev.frontier)
 
 
 def sum_rate_bound(ch: GaussianIC, grid_n: int = DEFAULT_GRID) -> float:
     """Largest R1 + R2 admitted by the union bound."""
-    if grid_n < 2:
-        raise InputError("grid_n must be at least 2")
     return max(_evaluator(ch, grid_n).max_sum(), 0.0)

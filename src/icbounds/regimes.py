@@ -217,4 +217,6 @@ def capacity_region_one_sided(ch: GaussianIC, force: bool = False) -> RateRegion
         a, b, c = ch.s11**2 * ch.p1, ch.s22**2 * ch.p2, ch.s21**2 * ch.p1
     except OverflowError:
         raise InputError(_OVERFLOW) from None
+    if not all(map(math.isfinite, (a, b, c + b))):
+        raise InputError(_OVERFLOW)
     return RateRegion(*pentagon_vertices(psi(a), psi(b), psi(c + b) + ch.d12).T)

@@ -19,6 +19,16 @@ import numpy as np
 from .errors import InputError
 
 FRONTIER_SAMPLES = 512
+# Cells per chunk of every cell table the bounds sweep (see ``chunks``), so
+# memory does not grow with a table and temporaries stay near cache size.
+SWEEP_CELLS = 1 << 16
+
+
+def chunks(n: int, cells_each: int) -> list[slice]:
+    """Consecutive slices covering range(n), each of at most
+    max(1, SWEEP_CELLS // cells_each) items of ``cells_each`` cells."""
+    step = max(1, SWEEP_CELLS // max(cells_each, 1))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 @dataclass(frozen=True, eq=False)

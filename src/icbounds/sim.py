@@ -61,9 +61,6 @@ class CellPartition:
     def cell_of(self, m: int) -> int:
         return m // self.per_cell
 
-    def kappa_of(self, m: int) -> int:
-        return m % self.per_cell
-
     def cell_members(self, cell: int) -> np.ndarray:
         lo = cell * self.per_cell
         hi = min(lo + self.per_cell, self.message_count)
@@ -134,8 +131,7 @@ class _Precomp:
 
     def __init__(self, cfg: SimConfig):
         w = cfg.channel.w
-        self.ny1, self.ny2 = cfg.channel.ny1, cfg.channel.ny2
-        self.nx1, self.nx2 = cfg.channel.nx1, cfg.channel.nx2
+        self.ny2 = cfg.channel.ny2
         w1 = w.sum(axis=1)  # P(y1 | x1, x2)
         w2 = w.sum(axis=0)  # P(y2 | x1, x2)
         with np.errstate(divide="ignore"):
@@ -144,7 +140,7 @@ class _Precomp:
             tin = np.einsum("cab,b->ca", w1, cfg.p2)
             self.log_w1_tin = np.log(tin)  # P(y1 | x1) under the x2 marginal
         # CDF of the joint output per input pair, flattened (y1, y2) C-order.
-        flat = w.reshape(self.ny1 * self.ny2, self.nx1, self.nx2)
+        flat = w.reshape(-1, *w.shape[2:])
         self.cdf = np.cumsum(flat, axis=0)
         self.cdf[-1] = 1.0
 

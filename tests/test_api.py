@@ -48,8 +48,22 @@ def test_test_only_names_left_the_package(module):
 def test_removed_members_stay_removed():
     for cls, names in ((icbounds.RateRegion, ("tag", "vertices", "contains",
                                               "is_point")),
-                       (icbounds.DiscreteIC, ("from_json_dict", "to_json_dict"))):
+                       (icbounds.DiscreteIC, ("from_json_dict", "to_json_dict")),
+                       (icbounds.CellPartition, ("kappa_of",))):
         assert [n for n in names if hasattr(cls, n)] == []
+
+
+def test_one_module_sets_the_cell_budget():
+    src = Path(icbounds.__file__).resolve().parent
+    owners = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id.endswith("_CELLS"):
+                    owners.setdefault(path.stem, []).append(t.id)
+    assert owners == {"regions": ["SWEEP_CELLS"]}
 
 
 def test_package_imports_no_test_module():

@@ -121,6 +121,31 @@ def test_outer_zero_gain_channel(tmp_path, runner):
     assert out.read_text().startswith("r1,r2\n")
 
 
+# user 1 reaches neither receiver (p1 = 0, or s11 = s21 = 0), so the bound
+# has zero R1 extent and its one row is user 2's rate: psi(1) = 0.5, plus
+# d12 = 0.2 in the second; with both powers zero it is the origin
+ZERO_EXTENT = {
+    "p1-zero": (gaussian_doc(s11=1.0, s12=1.0, s21=1.0, s22=1.0, p1=0.0, p2=1.0,
+                             d12=0.0, d21=0.0), "0.5"),
+    "s11-s21-zero": (gaussian_doc(s11=0.0, s12=1.0, s21=0.0, s22=1.0, p1=1.0,
+                                  p2=1.0, d12=0.2, d21=0.0), "0.7"),
+    "powers-zero": (gaussian_doc(s11=3.0, s12=2.0, s21=1.0, s22=4.0, p1=0.0,
+                                 p2=0.0, d12=0.7, d21=0.9), "0"),
+}
+
+
+@pytest.mark.parametrize("hull", [[], ["--hull"]], ids=["raw", "hull"])
+@pytest.mark.parametrize("case", sorted(ZERO_EXTENT))
+def test_outer_zero_extent_writes_the_sum_rate(tmp_path, runner, case, hull):
+    doc, rate = ZERO_EXTENT[case]
+    spec = write_json(tmp_path / "ch.json", doc)
+    out = tmp_path / "region.csv"
+    res = runner.invoke(main, ["outer", "--channel", spec, "--out", str(out)] + hull)
+    assert res.exit_code == 0, res.output
+    assert res.stdout == f"wrote {out} (max sum rate {rate} bits/use)\n"
+    assert out.read_text() == f"r1,r2\n0,{rate}\n"
+
+
 def test_outer_rejects_malformed_json(tmp_path, runner):
     bad = tmp_path / "bad.json"
     bad.write_text('{"type": "gaussian", ')
@@ -557,6 +582,41 @@ def test_check_digest_matrix(tmp_path, runner, spec, condition):
     assert hashlib.sha256(res.stdout.encode()).hexdigest()[:16] == digest
 
 
+def test_cell_budget_does_not_change_bytes(tmp_path, runner, monkeypatch):
+    # one cell per chunk, and 7 cells (a partial chunk of every table), give
+    # the bytes of the default budget
+    from icbounds import outer_bound, regions
+
+    fig2 = write_json(tmp_path / "fig2.json",
+                      {"type": "gaussian", **FIGURE_PRESETS["fig2"]})
+    ternary = write_json(tmp_path / "ternary.json", CHECK_SPECS["ternary"][0])
+    commands = [
+        ["outer", "--channel", fig2, "--grid", "11", "--out", "{out}"],
+        ["check", "--channel", ternary, "--condition", "4", "--grid", "5"],
+        ["check", "--channel", ternary, "--condition", "7", "--grid", "5",
+         "--samples", "30", "--seed", "1"],
+        ["inner", "--channel", ternary, "--theorem", "2", "--grid", "5",
+         "--out", "{out}"],
+    ]
+
+    def run_all():
+        outputs = []
+        for args in commands:
+            out = tmp_path / "out.csv"
+            out.unlink(missing_ok=True)
+            outer_bound._evaluator.cache_clear()
+            res = runner.invoke(main, [a.replace("{out}", str(out)) for a in args])
+            assert res.exit_code == 0, res.output
+            outputs.append((res.stdout, out.read_bytes() if out.exists() else None))
+        return outputs
+
+    want = run_all()
+    for budget in (1, 7):
+        monkeypatch.setattr(regions, "SWEEP_CELLS", budget)
+        assert run_all() == want
+    outer_bound._evaluator.cache_clear()
+
+
 # ------------------------------------------------ simulate digest matrix
 
 def sim_config(**kw):
@@ -724,6 +784,12 @@ POWER_OVERFLOW = gaussian_doc(s11=1e150, s12=0.0, s21=2e150, s22=1.0, p1=1e100,
 # that do not
 PRODUCT_OVERFLOW = gaussian_doc(s11=1e70, s12=1e70, s21=2e70, s22=3e70, p1=1e20,
                                 p2=1e20, d12=0.1, d21=0.0)
+# squared gains that fit, a received power of one user that does not:
+# s11^2 p1 in the first, s22^2 p2 in the second
+R1_POWER_OVERFLOW = gaussian_doc(s11=1e150, s12=0.0, s21=1e150, s22=1.0, p1=1e10,
+                                 p2=1.0, d12=0.1, d21=0.0)
+R2_POWER_OVERFLOW = gaussian_doc(s11=1.0, s12=0.0, s21=2.0, s22=1e150, p1=1.0,
+                                 p2=1e10, d12=0.1, d21=0.0)
 W = discrete_doc()["w"]
 NAN_CASCADE = {"type": "gaussian-6", "s11": float("nan"), "s12": 1.0, "s21": 2.0,
                "s22": 0.9, "p1": 1.0, "p2": 1.0, "d12": 0.3}
@@ -740,6 +806,8 @@ ROGUE_INPUTS = {
     "power-outer-grid11": ("outer11", POWER_OVERFLOW, 2, "received powers overflow"),
     "product-outer": ("outer", PRODUCT_OVERFLOW, 2,
                       "products of received powers overflow"),
+    "r1-power-thm5": ("inner5", R1_POWER_OVERFLOW, 2, "received powers overflow"),
+    "r2-power-thm5": ("inner5", R2_POWER_OVERFLOW, 2, "received powers overflow"),
     # classify reads the full spec, as every other command does
     "classify-nan": ("classify", NAN_CASCADE, 2, "must be finite"),
     "classify-no-power": ("classify", {k: v for k, v in CASCADE_OVERFLOW.items()

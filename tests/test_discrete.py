@@ -11,6 +11,7 @@ from icbounds import (
     inner_region_strong,
 )
 from icbounds import discrete as dsc
+from icbounds import regions
 from icbounds.cli import discrete_channel
 from icbounds.discrete import _mi_stack, one_sided_factorization, simplex_grid
 from icbounds.errors import ChannelShapeError, InputError
@@ -488,7 +489,7 @@ def test_tied_gaps_across_row_blocks_keep_first_pair():
     # condition-7 kernel-major order, over many row blocks
     ch = constant_channel(3)
     lat = simplex_grid(3, 21)
-    assert len(lat) ** 2 > 20 * (dsc.BLOCK_CELLS // ch.w.size)
+    assert len(lat) ** 2 > 20 * (regions.SWEEP_CELLS // ch.w.size)
     rep = check_condition(ch, 4, grid=21)
     assert rep.worst_gap == 0.0
     assert rep.witnesses == {"p1": lat[0].tolist(), "p2": lat[0].tolist()}
@@ -520,8 +521,8 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
     rng = np.random.default_rng(77)
     chans = [random_discrete(rng, (3, 3, 3, 3)), one_sided_channel(rng, 2)]
     runs = []
-    for cells in (1, 700, dsc.BLOCK_CELLS):
-        monkeypatch.setattr(dsc, "BLOCK_CELLS", cells)
+    for cells in (1, 700, regions.SWEEP_CELLS):
+        monkeypatch.setattr(regions, "SWEEP_CELLS", cells)
         out = []
         for ch in chans:
             out.append(asdict(check_condition(ch, 4, grid=7)))

@@ -6,6 +6,7 @@ import pytest
 
 from icbounds import GaussianIC, frontier_csv, outer_region, psi, sum_rate_bound
 from icbounds import outer_bound as ob
+from icbounds import regions
 from icbounds.errors import InputError
 from icbounds.regions import FRONTIER_SAMPLES
 
@@ -284,9 +285,9 @@ def test_rhs_table_matches_frozen_reference(rng):
     for ch in chans:
         a, b, c, d, _ = ob._squares(ch)
         al = np.concatenate([[0.0, 1.0], ob._param_grid(11, (b + d) * ch.p2),
-                             ob._cliff_alpha(ch, ob.CLIFF_LEVELS)])
+                             ob._cliff_alpha(a * ch.p1, b * ch.p2)])
         be = np.concatenate([[0.0, 1.0], ob._param_grid(11, (a + c) * ch.p1),
-                             ob._cliff_beta(ch, ob.CLIFF_LEVELS)])
+                             ob._cliff_beta(a * ch.p1, c * ch.p1)])
         _assert_table_is_reference(ch, al[:, None], be[None, :])
         for params in ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), tuple(rng.uniform(size=2))):
             _assert_table_is_reference(ch, *params)
@@ -402,6 +403,29 @@ def test_frontier_at_r1_cap_is_nonnegative(grid_n, rng):
         assert ev.frontier(ev.r1_cap)[0] >= 0.0
 
 
+def _zero_extent_channel(rng):
+    """p1 = 0, or s11 = s21 = 0: user 1 reaches neither receiver."""
+    ch = _signed_channel(rng)
+    if rng.uniform() < 0.5:
+        return GaussianIC(ch.s11, ch.s12, ch.s21, ch.s22, 0.0, ch.p2, ch.d12, ch.d21)
+    return GaussianIC(0.0, ch.s12, 0.0, ch.s22, ch.p1, ch.p2, ch.d12, ch.d21)
+
+
+@pytest.mark.parametrize("grid_n", [201, 11, 2])
+def test_zero_extent_row_is_the_sum_rate(grid_n, rng):
+    # at R1 = 0 the bound's largest R2 is its largest sum rate; writing the
+    # origin there left out rate pairs that user 2 alone achieves
+    chans = [ch for ch in EDGE_CHANNELS if ch.p1 == 0.0 or ch.s11 == ch.s21 == 0.0]
+    chans += [_zero_extent_channel(rng) for _ in range(100)]
+    assert any(sum_rate_bound(ch, grid_n) > 0.0 for ch in chans)
+    for ch in chans:
+        reg = outer_region(ch, grid_n=grid_n)
+        rate = sum_rate_bound(ch, grid_n)
+        assert reg.r1_max == 0.0
+        assert np.all(reg.r2 == rate)
+        assert frontier_csv(reg) == f"r1,r2\n0,{rate:.9g}\n"
+
+
 def test_outer_region_reaches_r1_cap_on_zero_power_channel():
     ch = EDGE_CHANNELS[-1]
     for grid_n in (201, 11, 2):
@@ -420,7 +444,7 @@ def test_max_sum_over_chunks_is_bit_equal(ch, budget, monkeypatch):
     ev = ob._UnionEvaluator(ch, ob.DEFAULT_GRID)
     want = _unchunked_max_sum(ev)
     assert ev.max_sum() == want  # one chunk per block at the default budget
-    monkeypatch.setattr(ob, "MAX_SUM_CELLS", budget)
+    monkeypatch.setattr(regions, "SWEEP_CELLS", budget)
     assert ev.max_sum() == want
 
 
@@ -433,7 +457,7 @@ def test_frontier_over_chunks_is_bit_equal(ch, rng, monkeypatch):
     # one column per chunk (1 and 1000 cells at 712 abscissae), then 46
     # columns, so that the last chunk of a 256-column cliff side is partial
     for budget in (1, 1000, 1 << 15):
-        monkeypatch.setattr(ob, "MAX_SUM_CELLS", budget)
+        monkeypatch.setattr(regions, "SWEEP_CELLS", budget)
         assert np.array_equal(ev.frontier(xs), want)
 
 
@@ -493,6 +517,6 @@ def test_max_sum_memory_does_not_grow_with_the_square_of_the_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # A chunk takes about 17 float arrays of MAX_SUM_CELLS entries (9 MB);
+    # A chunk takes about 17 float arrays of SWEEP_CELLS entries (9 MB);
     # the 1001 x 1001 block in one piece peaked at 136 MB.
-    assert peak < 32 * 8 * ob.MAX_SUM_CELLS
+    assert peak < 32 * 8 * regions.SWEEP_CELLS

@@ -13,18 +13,23 @@ from conftest import (draw_codebook_rowwise, orthogonal_channel,
                       pair_loglik_columns, xor_copy_channel)
 
 
+def _within(part, m):
+    """m's index inside its cell."""
+    return m - part.cell_of(m) * part.per_cell
+
+
 def test_partition_degenerate_ends():
     # exponents n*R = 3 and n*R12 = 3 (every cell a singleton) or 0 (one cell)
     singletons = CellPartition.for_rate(1, 3.0, 3.0)
-    assert (singletons.cell_of(5), singletons.kappa_of(5)) == (5, 0)
+    assert (singletons.cell_of(5), _within(singletons, 5)) == (5, 0)
     one_cell = CellPartition.for_rate(1, 3.0, 0.0)
-    assert (one_cell.cell_of(5), one_cell.kappa_of(5)) == (0, 5)
+    assert (one_cell.cell_of(5), _within(one_cell, 5)) == (0, 5)
     assert list(one_cell.cell_members(0)) == list(range(8))
 
 
 def test_partition_example():
     part = CellPartition.for_rate(1, 4.0, 2.0)
-    assert (part.cell_of(9), part.kappa_of(9)) == (2, 1)
+    assert (part.cell_of(9), _within(part, 9)) == (2, 1)
     assert list(part.cell_members(2)) == [8, 9, 10, 11]
 
 
@@ -35,7 +40,7 @@ def test_partition_bijection(n_rate, n_conf, m):
     total = 2**n_rate
     m = m % total
     part = CellPartition.for_rate(1, float(n_rate), float(n_conf))
-    cell, kappa = part.cell_of(m), part.kappa_of(m)
+    cell, kappa = part.cell_of(m), _within(part, m)
     per_cell = 2 ** (n_rate - n_conf)
     assert part.message_count == total and part.per_cell == per_cell
     assert m == cell * per_cell + kappa
@@ -51,7 +56,7 @@ def test_cell_partition_budget():
         assert part.cell_count * part.per_cell >= part.message_count
         # bijection over the whole message set
         for m in range(part.message_count):
-            c, k = part.cell_of(m), part.kappa_of(m)
+            c, k = part.cell_of(m), _within(part, m)
             assert m == c * part.per_cell + k
             assert m in part.cell_members(c)
 
