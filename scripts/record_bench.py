@@ -11,11 +11,12 @@ With two checkouts, each seed is one pair of runs, and which checkout runs
 first alternates from pair to pair.  From the last stdout line of each run
 (one JSON object) it writes BENCH_<label>.json per checkout into
 ``--out-dir``: every run's metrics, each metric's median and quartiles per
-workload, and the checkout's git revision (or "unknown"), the CPU count and
-the Python and numpy versions.
+workload, and the checkout's git revision (outside git, a content hash of
+its ``src/``), the CPU count and the Python and numpy versions.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -56,16 +57,33 @@ def summarize(runs: list) -> dict:
     return out
 
 
+def tree_hash(root: Path) -> str:
+    """"tree-sha256:" and 16 hex digits of a SHA-256 over the files under
+    ``root`` outside ``__pycache__``: each one's path relative to ``root``
+    and its bytes, in sorted path order."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*")
+                       if p.is_file() and "__pycache__" not in p.parts):
+        name = path.relative_to(root).as_posix().encode()
+        data = path.read_bytes()
+        for part in (name, data):
+            digest.update(len(part).to_bytes(8, "big") + part)
+    return "tree-sha256:" + digest.hexdigest()[:16]
+
+
 def revision(checkout: Path) -> str:
-    """HEAD of the checkout, "-dirty" if tracked files differ from it;
-    "unknown" if the directory is not the top of a git work tree."""
+    """HEAD of the checkout, "-dirty" if tracked files differ from it.  A
+    checkout that is not the top of a git work tree (a ``git archive``
+    copy, say) is named by the ``tree_hash`` of its ``src/``, or "unknown"
+    when it has none."""
     def git(*args):
         return subprocess.run(["git", "-C", str(checkout), *args], text=True,
                               capture_output=True)
 
     top = git("rev-parse", "--show-toplevel")
     if top.returncode or Path(top.stdout.strip()).resolve() != checkout.resolve():
-        return "unknown"
+        src = checkout / "src"
+        return tree_hash(src) if src.is_dir() else "unknown"
     head = git("rev-parse", "HEAD").stdout.strip()
     dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
     return head + ("-dirty" if dirty else "")

@@ -10,11 +10,16 @@ axis and returns I(a; b | c) per table, computing each marginal entropy
 once over the whole stack with 0 log 0 = 0.  An entropy sums each table's positive cells in
 table order, by one path for every stack, so a table's value is the same
 float alone or in any stack.  The condition searches and the inner regions
-evaluate their whole product-input lattice (and, for condition 7, every
-auxiliary kernel at every probe input) as such stacks, in blocks from
-``regions.chunks``, so peak memory does not grow with the lattice.  Their
+evaluate their whole input family (and, for condition 7, every auxiliary
+kernel at every probe input) as such stacks, in blocks from
+``regions.chunks``, so peak memory does not grow with the family.  Their
 set-up (lattices, input pairs, structured kernels, the degradedness test)
 is array code with no loop over symbols or cells.
+
+The condition searches pair a p1 lattice with the vertices of the p2
+simplex.  That is exact in p2: under independent inputs every gap they
+test is linear in p2 (I(x1;y|x2) = sum_k p2(k) I(x1;y|X2=k), and so for
+I(v;y|x2)), so its minimum over the p2 simplex sits at a vertex.
 
 The per-distribution 11-constraint outer-bound kernel and ``mi``, a
 validated batch-of-one call into :func:`_mi_stack`, are test references in
@@ -72,7 +77,6 @@ class DiscreteIC:
     @property
     def nx2(self) -> int:
         return self.w.shape[3]
-
 
 
 def _entropy_rows(tables: np.ndarray) -> np.ndarray:
@@ -164,10 +168,10 @@ def _product_inputs(set1: np.ndarray, set2: np.ndarray):
     return np.repeat(set1, len(set2), axis=0), np.tile(set2, (len(set1), 1))
 
 
-def _gap_argmin(ch: DiscreteIC, set1: np.ndarray, set2: np.ndarray):
+def _gap_argmin(ch: DiscreteIC, set1: np.ndarray):
     """Smallest I(x1;y2|x2) - I(x1;y1|x2) over the independent inputs
-    set1 x set2, set1-major; the first minimum wins."""
-    p1, p2 = _product_inputs(set1, set2)
+    set1 x the p2 vertices, set1-major; the first minimum wins."""
+    p1, p2 = _product_inputs(set1, np.eye(ch.nx2))
 
     def block(idx):
         m = _mi_stack(_product_joints(ch, p1[idx], p2[idx]), AXES4,
@@ -180,14 +184,12 @@ def _gap_argmin(ch: DiscreteIC, set1: np.ndarray, set2: np.ndarray):
 
 
 def _input_gap_search(ch: DiscreteIC, grid: int, refine: int = 2):
-    """Minimize the cross-vs-direct gap over a product-input lattice."""
+    """Minimize the cross-vs-direct gap over the p1 lattice x the p2
+    vertices, then shrink a p1 patch around the incumbent."""
     lat1 = simplex_grid(ch.nx1, grid)
-    lat2 = simplex_grid(ch.nx2, grid)
-    best = _gap_argmin(ch, lat1, lat2)
-    # local refinement: shrink a simplex patch around the incumbent
+    best = _gap_argmin(ch, lat1)
     for _ in range(refine):
-        cand = _gap_argmin(ch, _shrink_patch(best[1], lat1),
-                           _shrink_patch(best[2], lat2))
+        cand = _gap_argmin(ch, _shrink_patch(best[1], lat1))
         if cand[0] < best[0]:
             best = cand
     return best
@@ -268,7 +270,9 @@ def check_condition(
 
     All four are universally quantified, so the checkers are falsification
     oriented: a negative worst gap is a definitive failure, a nonnegative one
-    is evidence over the searched family only.
+    is evidence over the searched family only.  That family is the p1
+    lattice at ``grid`` (refined around the incumbent) x the vertices of
+    the p2 simplex, which is exact in p2 since every gap is linear in p2.
 
     * 4:  I(x1;y1|x2) <= I(x1;y2|x2) over product inputs, and y2 physically
           degraded with respect to y1 given x1.
@@ -287,15 +291,8 @@ def check_condition(
                 "(P(y1,y2|x1,x2) = P(y1|x1) P(y2|x1,x2))"
             )
         worst, p1, p2 = _input_gap_search(ch, grid)
-        if which == 4:
-            markov = _degraded_given(ch, "y2")
-        elif which == 11:
-            markov = _degraded_given(ch, "y1")
-        else:
-            markov = True  # factorization already enforced
         wit = {"p1": p1.tolist(), "p2": p2.tolist()}
-        return ConditionReport(worst >= -1e-9, worst, markov, wit)
-    if which == 7:
+    elif which == 7:
         if aux_card is None:
             aux_card = ch.nx1 * ch.nx2
         if aux_card < 1:
@@ -304,10 +301,9 @@ def check_condition(
             raise InputError("samples must be nonnegative")
         rng = np.random.default_rng(seed)
         lat1 = simplex_grid(ch.nx1, max(3, grid // 4))
-        lat2 = simplex_grid(ch.nx2, max(3, grid // 4))
         # include the worst product input found by the condition-4 search
         _, p1w, p2w = _input_gap_search(ch, grid, refine=1)
-        probe1, probe2 = _product_inputs(lat1, lat2)
+        probe1, probe2 = _product_inputs(lat1, np.eye(ch.nx2))
         probe1, probe2 = np.vstack([probe1, p1w]), np.vstack([probe2, p2w])
         kernels = _sample_v_kernels(ch, aux_card, samples, rng)
         n = len(probe1)  # rows run kernel-major: row = kernel * n + probe
@@ -320,11 +316,13 @@ def check_condition(
         i = int(np.argmin(gaps))
         worst = float(gaps[i])
         k, j = divmod(i, n)
-        markov = _degraded_given(ch, "y2")
         wit = {"p1": probe1[j].tolist(), "p2": probe2[j].tolist(),
                "v_kernel": kernels[k].tolist()}
-        return ConditionReport(worst >= -1e-9, worst, markov, wit)
-    raise InputError(f"unknown condition id {which}; expected 4, 7, 11 or 14")
+    else:
+        raise InputError(f"unknown condition id {which}; expected 4, 7, 11 or 14")
+    # condition 14's factorization is already enforced
+    markov = which == 14 or _degraded_given(ch, "y1" if which == 11 else "y2")
+    return ConditionReport(worst >= -1e-9, worst, markov, wit)
 
 
 # ---------------------------------------------------------------------------

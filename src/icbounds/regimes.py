@@ -95,33 +95,34 @@ class RegimeReport:
 def classify(kind: str, s11: float, s12: float, s21: float, s22: float) -> RegimeReport:
     """Evaluate the regime condition for the given channel kind.
 
-    gaussian-6 channels split along (s11^2 - s21^2)/(2 s11 s21) vs s22
-    (below or equal: strong regime, above or equal: mixed); gaussian-13
-    channels check (s21^2 - s11^2)/(2 s11 s21) >= s12; one-sided channels
-    (kind "one-sided", s12 = 0) check |s21| >= |s11|, since every one-sided
-    formula sees the gains only through their squares.
+    Each gate asks whether y2 hears x1 at least as well as y1 does, so a
+    sign flip that only relabels an input or an output keeps the label.
+    With sg = sign(s11 s21), gaussian-6 channels split along
+    (s11^2 - s21^2)/(2|s11 s21|) vs sg*s22, i.e. (s21 + s22 s11)^2/(1 + s22^2)
+    vs s11^2 (below or equal: strong regime, above or equal: mixed);
+    gaussian-13 channels check (s21^2 - s11^2)/(2|s11 s21|) >= sg*s12, i.e.
+    s21^2 >= (s11 + s12 s21)^2/(1 + s12^2); one-sided channels (kind
+    "one-sided", s12 = 0) check |s21| >= |s11|.
     """
     if kind in ("gaussian-6", "gaussian-13"):
         if s11 == 0 or s21 == 0:
-            raise UndefinedThresholdError(
-                "regime threshold needs nonzero s11 and s21"
-            )
+            raise UndefinedThresholdError("regime threshold needs nonzero s11 and s21")
+        a, b = (s11, s21) if kind == "gaussian-6" else (s21, s11)
         try:
-            if kind == "gaussian-6":
-                thr = (s11**2 - s21**2) / (2 * s11 * s21)
-            else:
-                thr = (s21**2 - s11**2) / (2 * s11 * s21)
+            den = 2 * s11 * s21
+            thr = (a**2 - b**2) / abs(den)
         except (OverflowError, ZeroDivisionError):
             raise UndefinedThresholdError(
                 "regime threshold overflows or divides by zero in floating point"
             ) from None
     if kind == "gaussian-6":
-        if s22 >= thr:
-            return RegimeReport("corollary-1", thr, s22 - thr,
-                                boundary=abs(s22 - thr) == 0.0)
-        return RegimeReport("corollary-2", thr, thr - s22)
+        sg_s22 = s22 if den > 0 else -s22
+        if sg_s22 >= thr:
+            return RegimeReport("corollary-1", thr, sg_s22 - thr,
+                                boundary=abs(sg_s22 - thr) == 0.0)
+        return RegimeReport("corollary-2", thr, thr - sg_s22)
     if kind == "gaussian-13":
-        margin = thr - s12
+        margin = thr - (s12 if den > 0 else -s12)
         label = "corollary-3" if margin >= 0 else "none"
         return RegimeReport(label, thr, margin, boundary=margin == 0.0)
     if kind == "one-sided":

@@ -132,15 +132,16 @@ def hull_of_points(points) -> RateRegion:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.size == 0:
         return point_region()
+    # Only the Pareto staircase can reach the chain: each point at x > 0
+    # higher than all points right of it (x, then y, descending).
     pts = np.maximum(pts, 0.0)
-    r2_max = float(pts[:, 1].max())
-    best: dict[float, float] = {0.0: r2_max}
-    for x, y in pts:
-        x = float(x)
-        if y > best.get(x, -1.0):
-            best[x] = float(y)
+    x, y = pts[np.lexsort((-pts[:, 1], -pts[:, 0]))].T
+    top = np.maximum.accumulate(y)
+    stair = (x > 0) & (y > np.concatenate([[-1.0], top[:-1]]))
+    best = [(0.0, float(top[-1]))] + list(zip(x[stair][::-1].tolist(),
+                                              y[stair][::-1].tolist()))
     chain: list[tuple[float, float]] = []
-    for p in sorted(best.items()):
+    for p in best:
         while len(chain) >= 2:
             (x0, y0), (x1, y1) = chain[-2], chain[-1]
             cross = (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0)

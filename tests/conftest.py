@@ -5,10 +5,11 @@ information quantities are accumulated over explicit outcome tuples,
 geometry checks go through brute-force membership sampling, the union
 outer bound is maximized cell by cell over the flattened parameter set, a
 cell's sum rate is searched over candidate abscissae instead of read off
-its LP dual, the discrete lattice searches run one lattice point at a
-time, the degradedness test loops over symbols, the cascade capacity
-evaluators' mutual informations come from the covariance oracle instead of
-closed forms, and the simulator's pair log-likelihoods and codebook
+its LP dual, the discrete condition searches run one input point at a
+time (over the p2 vertices, or over the p2 lattice they replaced), the
+degradedness test loops over symbols, the cascade capacity evaluators'
+mutual informations come from the covariance oracle instead of closed
+forms, and the simulator's pair log-likelihoods and codebook
 de-duplication run as first written (column gathers, row-wise ``np.unique``).
 """
 
@@ -188,20 +189,32 @@ class PointwiseSearchOracle:
         return (mi(j, self.AXES, ("x1",), ("y2",), ("x2",))
                 - mi(j, self.AXES, ("x1",), ("y1",), ("x2",)))
 
-    def gap_search(self, grid: int, refine: int = 2):
-        """(worst gap, p1, p2) of the condition-4/11/14 search."""
+    def vertices(self, resolution: int) -> np.ndarray:
+        """The p2 simplex's vertices at any resolution: the library's p2 set."""
+        return np.eye(self.ch.nx2)
+
+    def lattice(self, resolution: int) -> np.ndarray:
+        """The p2 lattice the searches took before they took the vertices."""
+        return dsc.simplex_grid(self.ch.nx2, resolution)
+
+    def gap_search(self, grid: int, p2_set, refine: int = 2):
+        """(worst gap, p1, p2) of the condition-4/11/14 search over the p1
+        lattice x ``p2_set(grid)``.  Each refinement shrinks the p1 lattice
+        around the incumbent; the p2 lattice shrinks with it, while the
+        vertices stay as they are (the gap is linear in p2)."""
         lat1 = dsc.simplex_grid(self.ch.nx1, grid)
-        lat2 = dsc.simplex_grid(self.ch.nx2, grid)
+        set2 = p2_set(grid)
         best = (np.inf, None, None)
         for p1 in lat1:
-            for p2 in lat2:
+            for p2 in set2:
                 g = self.pair_gap(p1, p2)
                 if g < best[0]:
                     best = (g, p1, p2)
         for _ in range(refine):
             _, p1c, p2c = best
+            patch2 = set2 if p2_set == self.vertices else dsc._shrink_patch(p2c, set2)
             for p1 in dsc._shrink_patch(p1c, lat1):
-                for p2 in dsc._shrink_patch(p2c, lat2):
+                for p2 in patch2:
                     g = self.pair_gap(p1, p2)
                     if g < best[0]:
                         best = (g, p1, p2)
@@ -215,16 +228,17 @@ class PointwiseSearchOracle:
         return (mi(j, axes, ("v",), ("y1",), ("x2",))
                 - mi(j, axes, ("v",), ("y2",), ("x2",)))
 
-    def condition7(self, grid: int, aux_card: int | None = None,
+    def condition7(self, grid: int, p2_set, aux_card: int | None = None,
                    samples: int = 2000, seed: int = 0):
         """(worst gap, p1, p2, kernel) of the condition-7 search, kernels
-        outer and probes inner, with the library's kernel draws."""
+        outer and probes inner, with the library's kernel draws; the probes
+        and the condition-4 search take their p2 from ``p2_set``."""
         ch = self.ch
         rng = np.random.default_rng(seed)
         lat1 = dsc.simplex_grid(ch.nx1, max(3, grid // 4))
-        lat2 = dsc.simplex_grid(ch.nx2, max(3, grid // 4))
-        probes = [(p1, p2) for p1 in lat1 for p2 in lat2]
-        _, p1w, p2w = self.gap_search(grid, refine=1)
+        set2 = p2_set(max(3, grid // 4))
+        probes = [(p1, p2) for p1 in lat1 for p2 in set2]
+        _, p1w, p2w = self.gap_search(grid, p2_set, refine=1)
         probes.append((p1w, p2w))
         kernels = dsc._sample_v_kernels(ch, aux_card or ch.nx1 * ch.nx2,
                                         samples, rng)

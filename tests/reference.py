@@ -2,9 +2,9 @@
 
 These definitions check the library rather than serve a command: the
 covariance oracle for Gaussian mutual informations, halfplane
-intersection and region comparisons, the 16 outer-bound constraints at
-one parameter point, and the per-distribution 11-constraint discrete
-kernel.  They import the library's formula sources (``outer_bound._rhs_table``
+intersection and region comparisons, the convex hull's point loop as
+first written, the 16 outer-bound constraints at one parameter point,
+and the per-distribution 11-constraint discrete kernel.  They import the library's formula sources (``outer_bound._rhs_table``
 and ``COEFFS``, ``discrete._mi_stack``), so the tests that compare against
 them still check the library's own expressions.  ``rhs_reference`` is the
 exception: a frozen copy of the outer-bound table that the library's must
@@ -341,6 +341,34 @@ def _dedupe_collinear(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.nd
     keep.append(pts[-1])
     arr = np.array(keep)
     return arr[:, 0], arr[:, 1]
+
+
+def hull_of_points_loop(points) -> RateRegion:
+    """``regions.hull_of_points`` as first written: every point goes through
+    a dict of the highest point per abscissa, then the same chain loop."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if pts.size == 0:
+        return point_region()
+    pts = np.maximum(pts, 0.0)
+    r2_max = float(pts[:, 1].max())
+    best: dict[float, float] = {0.0: r2_max}
+    for x, y in pts:
+        x = float(x)
+        if y > best.get(x, -1.0):
+            best[x] = float(y)
+    chain: list[tuple[float, float]] = []
+    for p in sorted(best.items()):
+        while len(chain) >= 2:
+            (x0, y0), (x1, y1) = chain[-2], chain[-1]
+            cross = (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0)
+            if cross >= -1e-15:  # middle point on/under the chord: drop it
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    # A concave chain that starts at the global max height never rises.
+    arr = np.array(chain)
+    return RateRegion(arr[:, 0], np.minimum.accumulate(arr[:, 1]))
 
 
 def includes(a: RateRegion, b: RateRegion, tol: float = 1e-6) -> bool:

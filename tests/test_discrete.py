@@ -428,7 +428,8 @@ SEARCH_CHANNELS = search_channels()
 @pytest.mark.parametrize("name, ch, grid", SEARCH_CHANNELS,
                          ids=[c[0] for c in SEARCH_CHANNELS])
 def test_gap_search_matches_pointwise_oracle(name, ch, grid):
-    want_gap, want_p1, want_p2 = PointwiseSearchOracle(ch).gap_search(grid)
+    oracle = PointwiseSearchOracle(ch)
+    want_gap, want_p1, want_p2 = oracle.gap_search(grid, oracle.vertices)
     for which in (4, 11, 14) if one_sided_factorization(ch) else (4, 11):
         rep = check_condition(ch, which, grid=grid)
         assert rep.witnesses == {"p1": want_p1.tolist(), "p2": want_p2.tolist()}
@@ -440,8 +441,9 @@ def test_gap_search_matches_pointwise_oracle(name, ch, grid):
                          ids=[c[0] for c in SEARCH_CHANNELS])
 def test_condition7_matches_pointwise_oracle(name, ch, grid):
     samples = 60 if ch.nx1 * ch.nx2 <= 4 else 15
-    g, p1, p2, kernel = PointwiseSearchOracle(ch).condition7(
-        grid, samples=samples, seed=3)
+    oracle = PointwiseSearchOracle(ch)
+    g, p1, p2, kernel = oracle.condition7(grid, oracle.vertices,
+                                          samples=samples, seed=3)
     rep = check_condition(ch, 7, grid=grid, samples=samples, seed=3)
     assert rep.witnesses == {"p1": p1.tolist(), "p2": p2.tolist(),
                              "v_kernel": kernel.tolist()}
@@ -483,16 +485,19 @@ def test_pentagon_vertices_match_from_constraints(rng):
             pentagon_vertices(*(np.array([v]) for v in bad))
 
 
-def test_tied_gaps_across_row_blocks_keep_first_pair():
+def test_tied_gaps_across_row_blocks_keep_first_pair(monkeypatch):
     # every gap of a constant-output channel is exactly 0, so the first
-    # lattice pair must win in the lattice, in each refinement and in the
-    # condition-7 kernel-major order, over many row blocks
+    # input pair must win in the search, in each refinement and in the
+    # condition-7 kernel-major order, over many row blocks: a budget of 16
+    # tables splits the 231 x 3 search rows into 44 blocks
+    monkeypatch.setattr(regions, "SWEEP_CELLS", 16 * 36)
     ch = constant_channel(3)
     lat = simplex_grid(3, 21)
-    assert len(lat) ** 2 > 20 * (regions.SWEEP_CELLS // ch.w.size)
+    assert len(lat) == 231
+    assert len(regions.chunks(len(lat) * ch.nx2, ch.w.size)) == 44
     rep = check_condition(ch, 4, grid=21)
     assert rep.worst_gap == 0.0
-    assert rep.witnesses == {"p1": lat[0].tolist(), "p2": lat[0].tolist()}
+    assert rep.witnesses == {"p1": lat[0].tolist(), "p2": [1.0, 0.0, 0.0]}
     rep7 = check_condition(ch, 7, grid=21, samples=200, seed=2)
     assert rep7.worst_gap == 0.0
     assert rep7.witnesses["p1"] == simplex_grid(3, 5)[0].tolist()
@@ -500,6 +505,63 @@ def test_tied_gaps_across_row_blocks_keep_first_pair():
     for x1 in range(3):
         v_x1[x1, :, x1] = 1.0
     assert rep7.witnesses["v_kernel"] == v_x1.tolist()
+
+
+def vertex_vs_lattice_channels():
+    from icbounds.cli import discrete_channel
+    from test_cli import CHECK_SPECS
+
+    chans = [(name, discrete_channel(doc), grid)
+             for name, (doc, grid) in CHECK_SPECS.items()]
+    rng = np.random.default_rng(2718)
+    chans += [(f"random-bin-{i}", random_discrete(rng), 11) for i in range(4)]
+    chans += [(f"random-tern-{i}", random_discrete(rng, (3, 3, 3, 3)), 5)
+              for i in range(3)]
+    return chans
+
+
+VERTEX_VS_LATTICE = vertex_vs_lattice_channels()
+
+
+@pytest.mark.parametrize("name, ch, grid", VERTEX_VS_LATTICE,
+                         ids=[c[0] for c in VERTEX_VS_LATTICE])
+def test_vertex_search_is_no_worse_than_lattice(name, ch, grid):
+    # every gap is linear in p2, so the p2 vertices find a gap as deep as
+    # the p2 lattice the searches took before, up to rounding
+    oracle = PointwiseSearchOracle(ch)
+    lattice_gap = oracle.gap_search(grid, oracle.lattice)[0]
+    rep = check_condition(ch, 4, grid=grid)
+    assert rep.worst_gap <= lattice_gap + 1e-12
+    assert rep.holds_on_searched_family == (lattice_gap >= -1e-9)
+    lattice7 = oracle.condition7(grid, oracle.lattice, samples=10, seed=1)[0]
+    rep7 = check_condition(ch, 7, grid=grid, samples=10, seed=1)
+    assert rep7.worst_gap <= lattice7 + 1e-12
+    assert rep7.holds_on_searched_family == (lattice7 >= -1e-9)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 3, 3, 3), (3, 2, 2, 3),
+                                   "one-sided"])
+def test_x2_labels_do_not_change_the_report(shape):
+    # permuting the x2 labels of w only permutes the p2 vertices, so every
+    # gap is the same up to the rounding of the x2 marginal's sums;
+    # condition 7 runs its structured kernels only, since a random kernel
+    # P(v|x1,x2) would not move with the labels
+    rng = np.random.default_rng(31)
+    ch = (one_sided_channel(rng, 3) if shape == "one-sided"
+          else random_discrete(rng, shape))
+    conditions = (4, 11, 14) if shape == "one-sided" else (4, 11)
+    base = {c: check_condition(ch, c, grid=9) for c in conditions}
+    base7 = check_condition(ch, 7, grid=9, samples=0)
+    for perm in itertools.permutations(range(ch.nx2)):
+        moved = DiscreteIC(ch.w[..., list(perm)])
+        for c in conditions:
+            rep = check_condition(moved, c, grid=9)
+            assert abs(rep.worst_gap - base[c].worst_gap) <= 1e-12
+            assert rep.holds_on_searched_family == base[c].holds_on_searched_family
+            assert rep.markov_ok == base[c].markov_ok
+        rep7 = check_condition(moved, 7, grid=9, samples=0)
+        assert abs(rep7.worst_gap - base7.worst_gap) <= 1e-12
+        assert rep7.holds_on_searched_family == base7.holds_on_searched_family
 
 
 def per_table_mi(table, axes, a, b, c) -> float:

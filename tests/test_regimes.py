@@ -116,6 +116,88 @@ def test_one_sided_gate_ignores_gain_signs(rng):
     assert labels == {"corollary-4", "none"}
 
 
+def snr_margin(kind, s11, s12, s21, s22) -> float:
+    """How much better y2 hears x1 than y1 does, in received SNR (noise
+    variance 1 + s22^2 at y2 for gaussian-6, 1 + s12^2 at y1 for
+    gaussian-13); the gate's corollary holds when it is >= 0."""
+    if kind == "gaussian-6":
+        return (s21 + s22 * s11) ** 2 / (1 + s22 ** 2) - s11 ** 2
+    return s21 ** 2 - (s11 + s12 * s21) ** 2 / (1 + s12 ** 2)
+
+
+# the sign flips of x1, y1 and y2 on (s11, s12, s21, s22); each product of
+# them (x2 is the product of all three) only relabels an input or an output
+CASCADE_FLIPS = {
+    "gaussian-6": ((-1, 1, -1, 1), (-1, -1, 1, -1), (1, 1, -1, -1)),
+    "gaussian-13": ((-1, 1, -1, 1), (-1, -1, 1, 1), (1, -1, -1, -1)),
+}
+CASCADE_LABELS = {"gaussian-6": ("corollary-1", "corollary-2"),
+                  "gaussian-13": ("corollary-3", "none")}
+
+
+def relabellings(kind, gains):
+    """The 8 sign patterns of ``gains`` reached by the kind's flips."""
+    for use in itertools.product((False, True), repeat=3):
+        sign = np.ones(4)
+        for on, flip in zip(use, CASCADE_FLIPS[kind]):
+            if on:
+                sign *= flip
+        yield tuple(float(v) for v in sign * np.asarray(gains))
+
+
+@pytest.mark.parametrize("kind", sorted(CASCADE_FLIPS))
+def test_cascade_gate_is_the_received_snr_rule(rng, kind):
+    yes, no = CASCADE_LABELS[kind]
+    seen = set()
+    for _ in range(4000):
+        gains = tuple(rng.uniform(-3.0, 3.0, size=4))
+        margin = snr_margin(kind, *gains)
+        if abs(margin) < 1e-9:
+            continue
+        label = classify(kind, *gains).label
+        assert label == (yes if margin >= 0 else no), gains
+        seen.add((label, gains[0] * gains[2] > 0))
+    assert seen == {(yes, True), (yes, False), (no, True), (no, False)}
+
+
+@pytest.mark.parametrize("kind", sorted(CASCADE_FLIPS))
+def test_cascade_gate_ignores_relabelling_signs(rng, kind):
+    # a relabelled channel is the same channel: same report, same capacity
+    evaluate = {"corollary-1": capacity_region_strong,
+                "corollary-2": sum_capacity_fwd_own,
+                "corollary-3": sum_capacity_fwd_interference}
+    labels = set()
+    for _ in range(60):
+        gains = tuple(rng.uniform(-2.5, 2.5, size=4))
+        base = classify(kind, *gains)
+        labels.add(base.label)
+        want = None
+        for flipped in relabellings(kind, gains):
+            assert classify(kind, *flipped) == base, flipped
+            if base.label in evaluate:
+                got = evaluate[base.label](CorrelatedGaussianIC(
+                    kind, *flipped, 1.5, 0.8, 0.05))
+                if not isinstance(got, float):
+                    got = got.max_sum()
+                want = got if want is None else want
+                assert got == pytest.approx(want, abs=1e-12)
+    assert labels == set(CASCADE_LABELS[kind])
+
+
+def test_sign_flipped_output_keeps_corollary_3():
+    # (1, -0.4, -2, -1.5) is (1, 0.4, 2, 1.5) with y2 negated
+    want = None
+    for gains in ((1.0, 0.4, 2.0, 1.5), (1.0, -0.4, -2.0, -1.5)):
+        rep = classify("gaussian-13", *gains)
+        assert rep.label == "corollary-3"
+        assert rep.margin == pytest.approx(0.35, abs=1e-12)
+        got = sum_capacity_fwd_interference(
+            CorrelatedGaussianIC("gaussian-13", *gains, 1.5, 0.8, 0.05))
+        assert got == pytest.approx(1.61875176, abs=1e-8)
+        want = got if want is None else want
+        assert got == pytest.approx(want, abs=1e-12)
+
+
 def test_classify_errors():
     with pytest.raises(UndefinedThresholdError):
         classify("gaussian-6", 0.0, 1.0, 1.0, 1.0)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from icbounds import RateRegion, convex_hull, from_csv, frontier_csv
 from icbounds.errors import InputError
+from icbounds.regions import hull_of_points, pentagon_vertices
 
 from reference import (
     RateConstraint,
@@ -11,6 +12,7 @@ from reference import (
     contains,
     from_constraints,
     gap,
+    hull_of_points_loop,
     includes,
     is_point,
     vertices,
@@ -148,11 +150,67 @@ def test_csv_validation():
 @given(st.lists(st.tuples(st.floats(0, 4), st.floats(0, 4)), min_size=1, max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_hull_of_points_contains_inputs(points):
-    from icbounds.regions import hull_of_points
-
     hull = hull_of_points(np.array(points))
     for x, y in points:
         assert contains(hull, x, y, tol=1e-9)
+
+
+def same_hull(points) -> RateRegion:
+    """``hull_of_points``, checked byte for byte against the point loop."""
+    got, want = hull_of_points(points), hull_of_points_loop(points)
+    assert got.r1.tobytes() == want.r1.tobytes()
+    assert got.r2.tobytes() == want.r2.tobytes()
+    return got
+
+
+def near_chord(d: float) -> list:
+    """(0.5, 0.5 + d) between (0, 1) and (1, 0): the chain's cross product
+    at the middle point is -d, rounded."""
+    return [[0.0, 1.0], [0.5, 0.5 + d], [1.0, 0.0]]
+
+
+HULL_CASES = {
+    "empty": np.zeros((0, 2)),
+    "one-point": [[0.7, 0.3]],
+    "origin": [[0.0, 0.0]],
+    "axis-only": [[0.0, 0.3], [0.0, 0.7], [-0.0, 0.2]],
+    "ties-in-x": [[0.5, 0.2], [0.5, 0.9], [0.5, 0.4], [1.0, 0.1], [1.0, 0.3],
+                  [0.0, 0.95], [1.0, 0.3]],
+    "equal-heights": [[0.2, 1.0], [0.6, 1.0], [0.9, 1.0], [1.2, 0.5], [1.4, 0.5],
+                      [1.4, 0.0]],
+    "top-away-from-axis": [[0.8, 1.0], [0.3, 0.6], [1.5, 0.2]],
+    "clipped-negatives": [[-1e-13, 0.5], [0.4, -2e-13], [0.2, 0.3], [0.4, 0.0]],
+    "collinear": [[x, 1.0 - x] for x in np.linspace(0.0, 1.0, 11)],
+    "dominated-inside": [[0.0, 1.0], [0.3, 0.2], [0.6, 0.1], [0.2, 0.2], [1.0, 0.5]],
+    "within-tolerance": near_chord(4e-16),
+    "beyond-tolerance": near_chord(2e-15),
+}
+
+
+@pytest.mark.parametrize("points", HULL_CASES.values(), ids=HULL_CASES.keys())
+def test_hull_staircase_matches_point_loop(points):
+    hull = same_hull(np.array(points, dtype=float).reshape(-1, 2))
+    if points is HULL_CASES["within-tolerance"]:
+        assert hull.r1.tolist() == [0.0, 1.0]  # the middle point is dropped
+    if points is HULL_CASES["beyond-tolerance"]:
+        assert hull.r1.tolist() == [0.0, 0.5, 1.0]
+    if points is HULL_CASES["empty"]:
+        assert is_point(hull)
+
+
+def test_hull_staircase_matches_point_loop_on_random_points():
+    # quantized coordinates give ties in x and equal heights; pentagon
+    # vertices are the inner regions' input; points on a line with jitter
+    # of a few ulps sit within the chain's -1e-15 tolerance
+    rng = np.random.default_rng(99)
+    for _ in range(200):
+        n = int(rng.integers(1, 400))
+        x = rng.uniform(0.0, 2.0, n)
+        same_hull(rng.integers(0, 7, size=(n, 2)) / 4.0)
+        same_hull(pentagon_vertices(*rng.uniform(0.0, 1.6, size=(3, n))))
+        same_hull(np.column_stack([x, 1.5 - 0.7 * x + rng.normal(0, 2e-16, n)]))
+        same_hull(np.column_stack([x, np.sqrt(4.0 - x * x)
+                                   + rng.normal(0, 5e-16, n)]))
 
 
 def test_region_validation():

@@ -61,3 +61,26 @@ def test_record_bench_parses_and_summarizes_a_canned_run(tmp_path):
         "one": {"m": {"n": 1, "median": 7.0, "q1": 7.0, "q3": 7.0}},
     }
     assert rb.revision(tmp_path) == "unknown"
+
+
+def test_record_bench_names_a_tree_outside_git_by_its_src(tmp_path):
+    rb = _record_bench()
+    trees = []
+    for name in ("a", "b"):
+        src = tmp_path / name / "src" / "pkg"
+        src.mkdir(parents=True)
+        (src / "mod.py").write_text("x = 1\n")
+        (src / "data.txt").write_bytes(b"\x00\x01")
+        trees.append(tmp_path / name)
+    first = rb.revision(trees[0])
+    assert first.startswith("tree-sha256:") and len(first) == len("tree-sha256:") + 16
+    assert rb.revision(trees[1]) == first
+    cache = trees[1] / "src" / "pkg" / "__pycache__"
+    cache.mkdir()
+    (cache / "mod.cpython.pyc").write_bytes(b"compiled")
+    assert rb.revision(trees[1]) == first  # byte-code caches do not count
+    (trees[1] / "src" / "pkg" / "mod.py").write_text("x = 2\n")
+    assert rb.revision(trees[1]) != first
+    (trees[1] / "src" / "pkg" / "mod.py").write_text("x = 1\n")
+    (trees[1] / "src" / "pkg" / "mod2.py").write_text("")
+    assert rb.revision(trees[1]) != first  # an added empty file counts too
