@@ -12,7 +12,11 @@ first alternates from pair to pair.  From the last stdout line of each run
 (one JSON object) it writes BENCH_<label>.json per checkout into
 ``--out-dir``: every run's metrics, each metric's median and quartiles per
 workload, and the checkout's git revision (outside git, a content hash of
-its ``src/``), the CPU count and the Python and numpy versions.
+its ``src/``), the CPU count and the Python and numpy versions.  Each
+run's line gives whether its checks passed (``correct``) and how many ops
+it attempted and how many failed.  The files keep every run, but the
+script exits non-zero and names each run that was not correct or had a
+failed op, since such a run's metrics do not measure working code.
 """
 
 import argparse
@@ -127,8 +131,9 @@ def main(argv=None):
                 run = run_once(path, workload, seed, seconds)
                 units.update(run.pop("units"))
                 runs[label].append(run)
-                print(f"{label} {workload} seed {seed}: "
-                      + "  ".join(f"{n}={v:.6g}" for n, v in run["metrics"].items()),
+                fields = [f"{n}={run[n]}" for n in ("correct", "attempted", "failed")]
+                fields += [f"{n}={v:.6g}" for n, v in run["metrics"].items()]
+                print(f"{label} {workload} seed {seed}: " + "  ".join(fields),
                       flush=True)
                 # rewritten after every run, so an interrupted recording keeps
                 # the runs it finished
@@ -137,6 +142,12 @@ def main(argv=None):
                        "runs": runs[label]}
                 out = Path(args.out_dir) / f"BENCH_{label}.json"
                 out.write_text(json.dumps(doc, indent=1) + "\n")
+    bad = [f"{label} {run['workload']} seed {run['seed']}"
+           for label, done in runs.items() for run in done
+           if not run["correct"] or run["failed"]]
+    if bad:
+        raise SystemExit("runs that were not correct or had failed ops: "
+                         + ", ".join(bad))
 
 
 if __name__ == "__main__":

@@ -58,6 +58,8 @@ class DiscreteIC:
         sums = w.sum(axis=(0, 1))
         if np.max(np.abs(sums - 1.0)) > NORM_TOL:
             raise InputError("each P(.,.|x1,x2) must sum to 1")
+        if not (np.isfinite(self.d12) and np.isfinite(self.d21)):
+            raise InputError("conference capacities must be finite")
         if self.d12 < 0 or self.d21 < 0:
             raise InputError("conference capacities must be nonnegative")
         object.__setattr__(self, "w", np.maximum(w, 0.0))

@@ -7,12 +7,13 @@ each axis plus two cliff families that pin the feasibility edges, in three
 product blocks: grid x grid, alpha cliffs x beta grid and alpha grid x beta
 cliffs (143,313 cells at grid 201).  The 16 right-hand sides are sums of 25
 named psi terms, each computed once; every term is constant or a monotone
-function of alpha alone or of beta alone.  So each right-hand side depends
-on alpha alone or on beta alone, and the largest R2 at a given R1 over a
-block is the min of a max over its alphas and a max over its betas: two 1-D
-sweeps instead of a 2-D one, with the same values bit for bit.  The frontier is exact at every
-sampled abscissa for the swept parameter set and monotone under grid
-refinement.  Both sweeps take their cells in ``regions.chunks``.
+function of alpha alone or of beta alone.  So ``_side_bounds`` writes each
+constraint into an alpha-side or a beta-side table of class bounds, and the
+largest R2 at a given R1 over a block is the min of a max over its alphas
+and a max over its betas: two 1-D sweeps instead of a 2-D one, with the same
+values bit for bit.  The frontier is exact at every sampled abscissa for the
+swept parameter set and monotone under grid refinement.  Both sweeps take
+their cells in ``regions.chunks``.
 """
 
 from __future__ import annotations
@@ -26,13 +27,6 @@ from .errors import InputError
 from .gaussian import GaussianIC, psi
 from .regions import FRONTIER_SAMPLES, RateRegion, chunks
 
-# (c1, c2) coefficient pattern of each of the 16 constraints, in order.
-COEFFS: tuple[tuple[float, float], ...] = (
-    (1, 0), (1, 0), (0, 1), (0, 1),
-    (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1),
-    (2, 1), (1, 2), (2, 1), (1, 2), (2, 1), (1, 2),
-)
-
 DEFAULT_GRID = 201
 
 
@@ -42,7 +36,7 @@ def _squares(ch: GaussianIC) -> tuple[float, float, float, float, float]:
     Raises when they overflow, or when the received powers of x1 and of x2
     summed over both outputs, (s11^2 + s21^2) p1 and (s12^2 + s22^2) p2, do;
     each received power s_ij^2 p_j is at most one of those two.  Raises too
-    when a product of received powers that ``_rhs_table`` or
+    when a product of received powers that ``_side_bounds`` or
     ``_cliff_alpha`` forms does: with alpha, beta <= 1 and snr <= a p1 +
     b p2 none exceeds the bounds checked here."""
     try:
@@ -67,23 +61,32 @@ def _squares(ch: GaussianIC) -> tuple[float, float, float, float, float]:
     return sq
 
 
-def _rhs_table(ch: GaussianIC, alpha, beta):
-    """Right-hand sides of the 16 constraints, broadcast over alpha/beta.
+def _side_bounds(ch: GaussianIC, alpha, beta) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced bound of each constraint class at each alpha and at each
+    beta.
 
-    Returns a list of 16 arrays in canonical constraint order.  Each of the
-    25 distinct psi terms is computed once, under a name, and each
-    constraint adds its terms left to right.  ``i11`` ... ``i22`` are
+    The 16 constraints k1 ... k16 fall into the classes R1 (m10), R2 (m01),
+    R1 + R2 (m11), 2 R1 + R2 (m21) and R1 + 2 R2 (m12), and each right-hand
+    side depends on alpha alone or on beta alone.  So a class bound is the
+    min of its constraints and splits as min(alpha side, beta side).
+    Returns the two sides as (5, n) arrays with rows m10, m01, m11, m21,
+    m12; a constant constraint is put on the alpha side, and a side with no
+    constraint of a class holds +inf.
+
+    Each of the 25 distinct psi terms is computed once, under a name, and
+    each constraint adds its terms left to right.  ``i11`` ... ``i22`` are
     psi(s_jk^2 p_k), ``y1``/``y2`` psi of all of y1/y2, ``g1``/``g2`` and
     ``gt1``/``gt2`` the genie terms of k10-k12 and k16/k15.  An ``al_`` or
     ``be_`` term depends on that parameter alone and is monotone in it.
+    Alphas are taken as a column and betas as a row, so a beta term written
+    into an alpha-side bound, or the reverse, raises when the side is
+    broadcast to its parameter's shape.
     """
-    al = np.asarray(alpha, dtype=float)
-    be = np.asarray(beta, dtype=float)
+    al = np.asarray(alpha, dtype=float).reshape(-1, 1)
+    be = np.asarray(beta, dtype=float).reshape(1, -1)
     a, b, c, d, det2 = _squares(ch)
     p1, p2 = ch.p1, ch.p2
     d12, d21 = ch.d12, ch.d21
-    cross_strong_1 = abs(ch.s21) >= abs(ch.s11)  # interference into rx2 at least as loud
-    cross_strong_2 = abs(ch.s12) >= abs(ch.s22)
 
     i11, i12, i21, i22 = psi(a * p1), psi(b * p2), psi(c * p1), psi(d * p2)
     y1, y2 = psi(a * p1 + b * p2), psi(c * p1 + d * p2)
@@ -116,29 +119,32 @@ def _rhs_table(ch: GaussianIC, alpha, beta):
     k2 = np.minimum(be_11_21 + i21, be_21_11 + i11)
     k3 = np.minimum(be_y2 + d12, i22 + d12)
     k4 = np.minimum(al_22_12 + i12, al_12_22 + i22)
-    if cross_strong_1:
-        k5 = y2 + d12 + d21 + np.zeros_like(be)
+    if abs(ch.s21) >= abs(ch.s11):  # interference into rx2 at least as loud
+        k5 = y2 + d12 + d21
+        k11 = g2 + y1 + d12 + 2 * d21
     else:
         k5 = be_11 + be_y2 + d12 + d21
-    if cross_strong_2:
-        k6 = y1 + d12 + d21 + np.zeros_like(al)
+        k11 = be_11 - be_21 + g2 + y1 + d12 + 2 * d21
+    if abs(ch.s12) >= abs(ch.s22):
+        k6 = y1 + d12 + d21
+        k12 = g1 + y2 + 2 * d12 + d21
     else:
         k6 = al_22 + al_y1 + d12 + d21
+        k12 = al_22 - al_12 + g1 + y2 + 2 * d12 + d21
     k7 = be_11_21 + y2 + d12
     k8 = al_22_12 + y1 + d21
-    k9 = y12 + np.zeros_like(al)
-    k10 = g1 + g2 + d12 + d21 + np.zeros_like(al)
-    guard1 = 0.0 if cross_strong_1 else 1.0
-    guard2 = 0.0 if cross_strong_2 else 1.0
-    k11 = guard1 * (be_11 - be_21) + g2 + y1 + d12 + 2 * d21
-    k12 = guard2 * (al_22 - al_12) + g1 + y2 + 2 * d12 + d21
+    k9 = y12
+    k10 = g1 + g2 + d12 + d21
     k13 = be_sum + be_k13 + y1 + d12 + d21
     k14 = al_sum + al_k14 + y2 + d12 + d21
-    k15 = gt2 + y1 + d21 + np.zeros_like(al)
-    k16 = gt1 + y2 + d12 + np.zeros_like(al)
+    k15 = gt2 + y1 + d21
+    k16 = gt1 + y2 + d12
 
-    return [k1, k2, k3, k4, k5, k6, k7, k8, k9, k10,
-            k11, k12, k13, k14, k15, k16]
+    least = functools.partial(functools.reduce, np.minimum)
+    alpha_side = (k1, k4, least((k6, k8, k9, k10)), k15, least((k12, k14, k16)))
+    beta_side = (k2, k3, least((k5, k7)), least((k11, k13)), np.inf)
+    return tuple(np.array([np.broadcast_to(m, p.shape).ravel() for m in side])
+                 for side, p in ((alpha_side, al), (beta_side, be)))
 
 
 def _param_grid(n: int, snr: float) -> np.ndarray:
@@ -194,41 +200,6 @@ def _cliff_beta(a: float, c: float) -> np.ndarray:
     return np.interp(lvl, bound, dense)
 
 
-# The (c1, c2) classes whose constraints reduce to one bound each, in the
-# order m10, m01, m11, m21, m12.
-_CLASSES: tuple[tuple[float, float], ...] = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2))
-
-
-def _side_bounds(rhs, n_alpha: int, n_beta: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced bounds per constraint class, split into alpha and beta sides.
-
-    ``rhs`` comes from ``_rhs_table`` evaluated on a column of alphas and a
-    row of betas, so an entry that depends on one parameter alone is shaped
-    (n_alpha, 1) or (1, n_beta).  Each class bound is the min of its
-    constraints, so it splits as min(alpha side, beta side); a side with no
-    constraint of the class holds +inf.  Returns two (5, n) arrays with rows
-    m10, m01, m11, m21, m12.  Raises if an entry depends on both parameters:
-    the union would then not separate.
-    """
-    parts = ([[] for _ in _CLASSES], [[] for _ in _CLASSES])
-    for i, (r, coeffs) in enumerate(zip(rhs, COEFFS)):
-        shape = np.shape(r)
-        if shape == (n_alpha, 1):
-            side = 0
-        elif shape == (1, n_beta):
-            side = 1
-        else:
-            raise RuntimeError(
-                f"constraint c{i + 1:02d} has shape {shape}, not a function of "
-                f"alpha alone ({n_alpha}, 1) or beta alone (1, {n_beta})"
-            )
-        parts[side][_CLASSES.index(coeffs)].append(np.ravel(r))
-    return tuple(
-        np.array([np.minimum.reduce(p) if p else np.full(n, np.inf) for p in cls])
-        for cls, n in zip(parts, (n_alpha, n_beta))
-    )
-
-
 def _side_frontier(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """max over one side's parameters of F_x, for each abscissa in x.
 
@@ -278,8 +249,7 @@ class _UnionEvaluator:
         be_c = _cliff_beta(s11_sq * ch.p1, s21_sq * ch.p1)
         al = np.concatenate([al_g, al_c])
         be = np.concatenate([be_g, be_c])
-        rhs = _rhs_table(ch, al[:, None], be[None, :])
-        a, b = _side_bounds(rhs, al.size, be.size)
+        a, b = _side_bounds(ch, al, be)
         # the four axis sets: alpha grid, alpha cliffs, beta grid, beta cliffs
         self.sides = (a[:, :grid_n], a[:, grid_n:], b[:, :grid_n], b[:, grid_n:])
         # the product blocks as index pairs into sides; an empty cliff family

@@ -28,7 +28,7 @@ from icbounds import outer_bound as ob
 from icbounds import sim
 from icbounds.regions import hull_of_points
 
-from reference import GaussianSystem, RateConstraint, from_constraints, mi
+from reference import GaussianSystem, RateConstraint, from_constraints, mi, rhs_reference
 
 
 def brute_entropy(joint: np.ndarray, axes: tuple, names: tuple) -> float:
@@ -100,10 +100,10 @@ class FlatUnionOracle:
     """The union outer bound as a 2-D sweep over every (alpha, beta) cell.
 
     Uses the parameter set of the library's evaluator (the warped base grid
-    and the cliff families, in three product blocks) and its right-hand
-    sides and per-cell sum-rate formula, but flattens the blocks into one
-    cell table and maximizes over it cell by cell, with no use of
-    separability.
+    and the cliff families, in three product blocks), the 16 right-hand
+    sides of ``rhs_reference`` and the library's per-cell sum-rate
+    formula, but flattens the blocks into one cell table and maximizes over
+    it cell by cell, with no use of separability.
     """
 
     def __init__(self, ch: GaussianIC, grid_n: int):
@@ -114,7 +114,7 @@ class FlatUnionOracle:
         blocks = [(al_g, be_g), (al_c, be_g), (al_g, be_c)]
         alphas = np.concatenate([np.repeat(a, b.size) for a, b in blocks])
         betas = np.concatenate([np.tile(b, a.size) for a, b in blocks])
-        rhs = ob._rhs_table(ch, alphas, betas)
+        rhs = rhs_reference(ch, alphas, betas)
         flat = [np.broadcast_to(r, alphas.shape).reshape(-1) for r in rhs]
         self.m10 = np.minimum(flat[0], flat[1])
         self.m01 = np.minimum(flat[2], flat[3])

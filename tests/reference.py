@@ -4,11 +4,13 @@ These definitions check the library rather than serve a command: the
 covariance oracle for Gaussian mutual informations, halfplane
 intersection and region comparisons, the convex hull's point loop as
 first written, the 16 outer-bound constraints at one parameter point,
-and the per-distribution 11-constraint discrete kernel.  They import the library's formula sources (``outer_bound._rhs_table``
-and ``COEFFS``, ``discrete._mi_stack``), so the tests that compare against
-them still check the library's own expressions.  ``rhs_reference`` is the
-exception: a frozen copy of the outer-bound table that the library's must
-equal bit for bit.
+and the per-distribution 11-constraint discrete kernel.  The discrete
+kernel imports the library's ``discrete._mi_stack``, so the tests that
+compare against it still check the library's own expressions.  The outer
+bound's 16 constraints come from ``rhs_reference``, a frozen copy of the
+table as it was written before each information term was named; the
+library's side tables (``outer_bound._side_bounds``) must equal its class
+minima bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from icbounds.discrete import NORM_TOL, DiscreteIC, _mi_stack
 from icbounds.errors import InputError
 from icbounds.gaussian import GaussianIC, psi
-from icbounds.outer_bound import COEFFS, _rhs_table, _squares
+from icbounds.outer_bound import _squares
 from icbounds.regions import FRONTIER_SAMPLES, RateRegion, point_region
 
 
@@ -418,6 +420,18 @@ def is_point(region: RateRegion) -> bool:
 # outer-bound constraints at one parameter point
 
 
+# (c1, c2) coefficient pattern of each of the 16 constraints, in order.
+COEFFS: tuple[tuple[float, float], ...] = (
+    (1, 0), (1, 0), (0, 1), (0, 1),
+    (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1),
+    (2, 1), (1, 2), (2, 1), (1, 2), (2, 1), (1, 2),
+)
+
+# The (c1, c2) classes in the order of the library's side-table rows:
+# m10, m01, m11, m21, m12.
+CLASSES: tuple[tuple[float, float], ...] = ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2))
+
+
 @dataclass(frozen=True)
 class BoundParams:
     alpha: float
@@ -430,7 +444,7 @@ class BoundParams:
 
 def constraints_at(ch: GaussianIC, params: BoundParams) -> list[RateConstraint]:
     """The 16 rate constraints at one parameter point, in canonical order."""
-    rhs = _rhs_table(ch, params.alpha, params.beta)
+    rhs = rhs_reference(ch, params.alpha, params.beta)
     return [RateConstraint(c1, c2, float(r), tag=f"c{i + 1:02d}")
             for i, ((c1, c2), r) in enumerate(zip(COEFFS, rhs))]
 
@@ -441,9 +455,11 @@ def region_at(ch: GaussianIC, params: BoundParams) -> RateRegion:
 
 
 def rhs_reference(ch: GaussianIC, alpha, beta):
-    """A frozen copy of ``outer_bound._rhs_table`` as it was written before
-    each information term was named: 43 psi expressions added in the same
-    left-to-right order.  The library's table must equal it bit for bit.
+    """Right-hand sides of the 16 constraints, broadcast over alpha/beta, as
+    the library's table was written before each information term was named:
+    43 psi expressions added in the same left-to-right order.  Every entry
+    carries the shape of the one parameter it depends on (a constant one
+    that of alpha).
     """
     al = np.asarray(alpha, dtype=float)
     be = np.asarray(beta, dtype=float)
@@ -516,6 +532,29 @@ def rhs_reference(ch: GaussianIC, alpha, beta):
 
     return [k1, k2, k3, k4, k5, k6, k7, k8, k9, k10,
             k11, k12, k13, k14, k15, k16]
+
+
+def reference_sides(ch: GaussianIC, alpha, beta) -> tuple[np.ndarray, np.ndarray]:
+    """The class minima of ``rhs_reference`` on each side, as two (5, n)
+    tables with rows m10, m01, m11, m21, m12 (+inf where a side has no
+    constraint of the class).
+
+    ``rhs_reference`` runs on a column of alphas and a row of betas, and
+    each entry goes to the side whose shape it has, so not both of alpha
+    and beta may be of length 1.
+    """
+    al = np.asarray(alpha, dtype=float).reshape(-1, 1)
+    be = np.asarray(beta, dtype=float).reshape(1, -1)
+    if al.size == be.size == 1:
+        raise ValueError("a side is told by its shape: give two alphas or two betas")
+    parts = ([[] for _ in CLASSES], [[] for _ in CLASSES])
+    for i, (r, coeffs) in enumerate(zip(rhs_reference(ch, al, be), COEFFS)):
+        side = [np.shape(r) == p.shape for p in (al, be)].index(True)
+        parts[side][CLASSES.index(coeffs)].append(np.ravel(r))
+    return tuple(
+        np.array([np.minimum.reduce(p) if p else np.full(n, np.inf) for p in cls])
+        for cls, n in zip(parts, (al.size, be.size))
+    )
 
 
 # ---------------------------------------------------------------------------

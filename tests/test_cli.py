@@ -816,6 +816,13 @@ ROGUE_INPUTS = {
                                   "d21": 0.5}, 2, "one-directional"),
     "discrete-d12-check": ("check", discrete_doc(d12="x"), 2, "bad discrete"),
     "discrete-d12-inner": ("inner2", discrete_doc(d12="x"), 2, "bad discrete"),
+    # conference capacities are finite, as in the Gaussian specs
+    "discrete-d12-nan-check": ("check", discrete_doc(d12=float("nan")), 2,
+                               "must be finite"),
+    "discrete-d12-nan-inner": ("inner2", discrete_doc(d12=float("nan")), 2,
+                               "must be finite"),
+    "discrete-d21-inf-inner": ("inner2", {**discrete_doc(), "d21": float("inf")}, 2,
+                               "must be finite"),
     "discrete-dims-check": ("check", {**discrete_doc(), "ny1": -2, "ny2": -2}, 2,
                             "alphabet sizes"),
     "discrete-dims-inner": ("inner2", {**discrete_doc(), "ny1": -2, "ny2": -2}, 2,

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import textwrap
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from reference import (
     gaussian_mi,
     includes,
     is_point,
+    reference_sides,
     region_at,
     rhs_reference,
 )
@@ -251,10 +253,12 @@ def test_evaluator_matches_flat_oracle_random_and_edge(rng):
 def test_rhs_entries_depend_on_one_parameter(rng):
     al, be = np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 5)
     for ch in [random_channel(rng) for _ in range(50)] + EDGE_CHANNELS:
-        rhs = ob._rhs_table(ch, al[:, None], be[None, :])
+        rhs = rhs_reference(ch, al[:, None], be[None, :])
         assert len(rhs) == 16
         for r in rhs:
             assert np.shape(r) in ((7, 1), (1, 5))
+        a, b = ob._side_bounds(ch, al, be)
+        assert a.shape == (5, 7) and b.shape == (5, 5)
 
 
 def _signed_channel(rng):
@@ -266,15 +270,15 @@ def _signed_channel(rng):
     return GaussianIC(*s, *p, *rng.uniform(0.0, 1.0, size=2))
 
 
-def _assert_table_is_reference(ch, alpha, beta):
-    got, want = ob._rhs_table(ch, alpha, beta), rhs_reference(ch, alpha, beta)
-    assert len(got) == len(want) == 16
-    for i, (g, w) in enumerate(zip(got, want)):
-        assert np.shape(g) == np.shape(w), f"c{i + 1:02d}"
-        assert np.array_equal(g, w), f"c{i + 1:02d}"
+def _assert_sides_are_reference(ch, alpha, beta):
+    got, want = ob._side_bounds(ch, alpha, beta), reference_sides(ch, alpha, beta)
+    for side, g, w in zip(("alpha", "beta"), got, want):
+        assert g.shape == w.shape, side
+        for row, gr, wr in zip(("m10", "m01", "m11", "m21", "m12"), g, w):
+            assert np.array_equal(gr, wr), f"{side} {row}"
 
 
-def test_rhs_table_matches_frozen_reference(rng):
+def test_side_bounds_match_frozen_reference(rng):
     chans = [FIG2, FIG3, FIG4] + EDGE_CHANNELS
     chans += [_signed_channel(rng) for _ in range(200)]
     branches = {(abs(ch.s21) >= abs(ch.s11), abs(ch.s12) >= abs(ch.s22))
@@ -288,15 +292,21 @@ def test_rhs_table_matches_frozen_reference(rng):
                              ob._cliff_alpha(a * ch.p1, b * ch.p2)])
         be = np.concatenate([[0.0, 1.0], ob._param_grid(11, (a + c) * ch.p1),
                              ob._cliff_beta(a * ch.p1, c * ch.p1)])
-        _assert_table_is_reference(ch, al[:, None], be[None, :])
-        for params in ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), tuple(rng.uniform(size=2))):
-            _assert_table_is_reference(ch, *params)
+        _assert_sides_are_reference(ch, al, be)
+        _assert_sides_are_reference(ch, rng.uniform(size=3), rng.uniform(size=2))
+        # scalar parameters give one-column tables; the reference tells the
+        # sides apart by shape, so it runs on two alphas
+        for x, y in ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), tuple(rng.uniform(size=2))):
+            got = ob._side_bounds(ch, x, y)
+            want = reference_sides(ch, [x, 0.5], y)
+            assert np.array_equal(got[0], want[0][:, :1])
+            assert np.array_equal(got[1], want[1])
 
 
-def test_rhs_table_writes_each_psi_term_once():
+def test_side_bounds_write_each_psi_term_once():
     tree = ast.parse(inspect.getsource(ob))
     fn = next(n for n in tree.body
-              if isinstance(n, ast.FunctionDef) and n.name == "_rhs_table")
+              if isinstance(n, ast.FunctionDef) and n.name == "_side_bounds")
     args = [ast.dump(ast.Tuple(elts=n.args, ctx=ast.Load()))
             for n in ast.walk(fn)
             if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "psi"]
@@ -304,17 +314,26 @@ def test_rhs_table_writes_each_psi_term_once():
     assert len(set(args)) == len(args), "a psi term is written twice"
 
 
+def _side_bounds_with(old, new):
+    """``_side_bounds`` compiled from its source with ``old`` replaced by ``new``."""
+    src = textwrap.dedent(inspect.getsource(ob._side_bounds))
+    assert src.count(old) == 1
+    namespace = dict(vars(ob))
+    exec(src.replace(old, new), namespace)
+    return namespace["_side_bounds"]
+
+
 def test_evaluator_rejects_mixed_parameter_rhs(monkeypatch):
-    table = ob._rhs_table
-
-    def mixed(ch, alpha, beta):
-        rhs = table(ch, alpha, beta)
-        rhs[6] = rhs[6] + 0.0 * alpha  # now shaped (n_alpha, n_beta)
-        return rhs
-
-    monkeypatch.setattr(ob, "_rhs_table", mixed)
-    with pytest.raises(RuntimeError, match="c07"):
-        ob._UnionEvaluator(FIG2, 5)
+    ob._UnionEvaluator(FIG2, 5)
+    mutants = [
+        _side_bounds_with("least((k12, k14, k16))",
+                          "least((k12, k14, k16, k7))"),  # beta into alpha
+        _side_bounds_with("least((k11, k13))", "least((k11, k13, k4))"),  # alpha into beta
+    ]
+    for mutant in mutants:
+        monkeypatch.setattr(ob, "_side_bounds", mutant)
+        with pytest.raises(ValueError, match="broadcast"):
+            ob._UnionEvaluator(FIG2, 5)
 
 
 def test_param_grid_endpoints_exact():

@@ -1,5 +1,6 @@
 """The README's scripts run from a checkout, in a child process."""
 
+import json
 import os
 import subprocess
 import sys
@@ -61,6 +62,37 @@ def test_record_bench_parses_and_summarizes_a_canned_run(tmp_path):
         "one": {"m": {"n": 1, "median": 7.0, "q1": 7.0, "q3": 7.0}},
     }
     assert rb.revision(tmp_path) == "unknown"
+
+
+def test_record_bench_names_incorrect_runs_and_exits_non_zero(tmp_path, monkeypatch,
+                                                             capsys):
+    rb = _record_bench()
+    lines = {  # (checkout, seed): the run's last stdout line
+        ("good", 1): '{"correct": true, "attempted": 9, "failed": 0, "metrics": {}}',
+        ("good", 2): '{"correct": true, "attempted": 9, "failed": 0, "metrics": {}}',
+        ("bad", 1): '{"correct": false, "attempted": 9, "failed": 0, "metrics": {}}',
+        ("bad", 2): '{"correct": true, "attempted": 9, "failed": 2, "metrics": {}}',
+    }
+
+    def canned(checkout, workload, seed, seconds):
+        return {"workload": workload, "seed": seed,
+                **rb.parse_result(lines[checkout.name, seed])}
+
+    monkeypatch.setattr(rb, "run_once", canned)
+    for name in ("good", "bad"):
+        (tmp_path / name).mkdir()
+    args = ["--checkout", f"good={tmp_path / 'good'}", "--checkout",
+            f"bad={tmp_path / 'bad'}", "--workload", "w", "--seed", "1", "--seed", "2",
+            "--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        rb.main(args)
+    assert str(exc.value).endswith(": bad w seed 1, bad w seed 2")
+    out = capsys.readouterr().out
+    assert "bad w seed 1: correct=False  attempted=9  failed=0" in out
+    assert "bad w seed 2: correct=True  attempted=9  failed=2" in out
+    for name in ("good", "bad"):  # both files are written all the same
+        assert len(json.loads((tmp_path / f"BENCH_{name}.json").read_text())["runs"]) == 2
+    rb.main(args[:2] + args[4:])  # only correct runs: exits normally
 
 
 def test_record_bench_names_a_tree_outside_git_by_its_src(tmp_path):
