@@ -281,17 +281,15 @@ def cmd_inner(channel_path: str, theorem: str, out_path: str | None,
 @click.option("--channel", "channel_path", required=True, type=click.Path())
 @click.option("--condition", required=True, type=click.Choice(["4", "7", "11", "14"]))
 @click.option("--grid", default=21, show_default=True, type=int)
-@click.option("--aux-card", default=None, type=int)
 @click.option("--samples", default=2000, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
-def cmd_check(channel_path: str, condition: str, grid: int,
-              aux_card: int | None, samples: int, seed: int):
+def cmd_check(channel_path: str, condition: str, grid: int, samples: int, seed: int):
     """Search a regime condition on a discrete channel; print the report."""
     ch = load_channel(channel_path)
     if not isinstance(ch, dsc.DiscreteIC):
         raise InputError("condition checks need a spec with type 'discrete'")
     report = dsc.check_condition(ch, int(condition), grid=grid,
-                                 aux_card=aux_card, samples=samples, seed=seed)
+                                 samples=samples, seed=seed)
     _echo_json(asdict(report))
 
 

@@ -14,12 +14,16 @@ evaluate their whole input family (and, for condition 7, every auxiliary
 kernel at every probe input) as such stacks, in blocks from
 ``regions.chunks``, so peak memory does not grow with the family.  Their
 set-up (lattices, input pairs, structured kernels, the degradedness test)
-is array code with no loop over symbols or cells.
+is array code with no loop over cells; the lattice takes one pass per
+symbol.
 
 The condition searches pair a p1 lattice with the vertices of the p2
 simplex.  That is exact in p2: under independent inputs every gap they
 test is linear in p2 (I(x1;y|x2) = sum_k p2(k) I(x1;y|X2=k), and so for
 I(v;y|x2)), so its minimum over the p2 simplex sits at a vertex.
+Condition 7 searches one fixed family of auxiliary kernels, with v on
+|X1|·|X2| labels: by Carathéodory, |X1| values of v per x2 reach every
+split of p1, so no other cardinality searches more.
 
 The per-distribution 11-constraint outer-bound kernel and ``mi``, a
 validated batch-of-one call into :func:`_mi_stack`, are test references in
@@ -28,7 +32,6 @@ validated batch-of-one call into :func:`_mi_stack`, are test references in
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -157,12 +160,25 @@ class ConditionReport:
 
 
 def simplex_grid(dim: int, resolution: int) -> np.ndarray:
-    """Uniform lattice on the probability simplex with the given resolution."""
+    """Uniform lattice on the probability simplex with the given resolution.
+
+    Every vector of symbol counts summing to ``resolution - 1``, divided by
+    that sum; the count of symbol 0 descends, then that of symbol 1, and so
+    on.  Each pass splits every row's leftover count over one more symbol,
+    so memory grows with the lattice alone."""
     if resolution < 2:
         raise InputError("simplex resolution must be at least 2")
     steps = resolution - 1
-    comps = np.array(list(itertools.combinations_with_replacement(range(dim), steps)))
-    return (comps[:, :, None] == np.arange(dim)).sum(axis=1) / steps
+    counts = np.empty((1, 0), dtype=np.int64)
+    left = np.array([steps])
+    for _ in range(dim - 1):
+        sizes = left + 1
+        rows = np.repeat(np.arange(len(left)), sizes)
+        starts = np.cumsum(sizes) - sizes
+        head = left[rows] - (np.arange(len(rows)) - starts[rows])
+        counts = np.column_stack([counts[rows], head])
+        left = left[rows] - head
+    return np.column_stack([counts, left]) / steps
 
 
 def _product_inputs(set1: np.ndarray, set2: np.ndarray):
@@ -185,12 +201,12 @@ def _gap_argmin(ch: DiscreteIC, set1: np.ndarray):
     return float(gaps[i]), p1[i], p2[i]
 
 
-def _input_gap_search(ch: DiscreteIC, grid: int, refine: int = 2):
+def _input_gap_search(ch: DiscreteIC, grid: int):
     """Minimize the cross-vs-direct gap over the p1 lattice x the p2
-    vertices, then shrink a p1 patch around the incumbent."""
+    vertices, then twice shrink a p1 patch around the incumbent."""
     lat1 = simplex_grid(ch.nx1, grid)
     best = _gap_argmin(ch, lat1)
-    for _ in range(refine):
+    for _ in range(2):
         cand = _gap_argmin(ch, _shrink_patch(best[1], lat1))
         if cand[0] < best[0]:
             best = cand
@@ -231,20 +247,18 @@ def one_sided_factorization(ch: DiscreteIC) -> bool:
     return bool(np.max(np.abs(recon - ch.w)) <= DEGRADE_TOL)
 
 
-def _sample_v_kernels(ch: DiscreteIC, aux_card: int, samples: int,
+def _sample_v_kernels(ch: DiscreteIC, samples: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """Structured plus Dirichlet-random P(v | x1, x2) kernels, stacked.
+    """Structured plus Dirichlet-random P(v | x1, x2) kernels, stacked, with
+    v on |X1|·|X2| labels.
 
-    The structured ones are v = x1, v = x2 and v = (x1, x2), each where
-    aux_card can label it, then a constant v: rows of np.eye(aux_card)
-    picked by the label of each (x1, x2)."""
+    The structured ones are v = x1, v = x2, v = (x1, x2) and a constant v:
+    rows of an identity matrix picked by the label of each (x1, x2)."""
     nx1, nx2 = ch.nx1, ch.nx2
     x1, x2 = np.indices((nx1, nx2))
-    labels = [v for v, card in ((x1, nx1), (x2, nx2), (x1 * nx2 + x2, nx1 * nx2))
-              if aux_card >= card]
-    labels.append(np.zeros_like(x1))
-    draws = rng.gamma(1.0, size=(samples, nx1, nx2, aux_card))
-    return np.concatenate([np.eye(aux_card)[np.stack(labels)],
+    labels = np.stack([x1, x2, x1 * nx2 + x2, np.zeros_like(x1)])
+    draws = rng.gamma(1.0, size=(samples, nx1, nx2, nx1 * nx2))
+    return np.concatenate([np.eye(nx1 * nx2)[labels],
                            draws / draws.sum(axis=-1, keepdims=True)])
 
 
@@ -264,7 +278,6 @@ def check_condition(
     ch: DiscreteIC,
     which: int,
     grid: int = 21,
-    aux_card: int | None = None,
     samples: int = 2000,
     seed: int = 0,
 ) -> ConditionReport:
@@ -279,7 +292,10 @@ def check_condition(
     * 4:  I(x1;y1|x2) <= I(x1;y2|x2) over product inputs, and y2 physically
           degraded with respect to y1 given x1.
     * 7:  I(v;y2|x2) <= I(v;y1|x2) over product inputs and auxiliary kernels
-          P(v|x1,x2); the markov part is the same as condition 4.
+          P(v|x1,x2); the markov part is the same as condition 4.  v takes
+          |X1|·|X2| values; the kernels are v = x1, v = x2, v = (x1, x2), a
+          constant v and ``samples`` Dirichlet draws from ``seed``, each at
+          the p1 lattice at ``max(3, grid // 4)`` x the p2 vertices.
     * 11: the condition-4 gap, with the degradedness roles of the outputs
           swapped (y1 degraded with respect to y2 given x1).
     * 14: the condition-4 gap on a one-sided channel.
@@ -295,26 +311,21 @@ def check_condition(
         worst, p1, p2 = _input_gap_search(ch, grid)
         wit = {"p1": p1.tolist(), "p2": p2.tolist()}
     elif which == 7:
-        if aux_card is None:
-            aux_card = ch.nx1 * ch.nx2
-        if aux_card < 1:
-            raise InputError("aux_card must be positive")
         if samples < 0:
             raise InputError("samples must be nonnegative")
+        if grid < 2:
+            raise InputError("simplex resolution must be at least 2")
         rng = np.random.default_rng(seed)
-        lat1 = simplex_grid(ch.nx1, max(3, grid // 4))
-        # include the worst product input found by the condition-4 search
-        _, p1w, p2w = _input_gap_search(ch, grid, refine=1)
-        probe1, probe2 = _product_inputs(lat1, np.eye(ch.nx2))
-        probe1, probe2 = np.vstack([probe1, p1w]), np.vstack([probe2, p2w])
-        kernels = _sample_v_kernels(ch, aux_card, samples, rng)
+        probe1, probe2 = _product_inputs(simplex_grid(ch.nx1, max(3, grid // 4)),
+                                         np.eye(ch.nx2))
+        kernels = _sample_v_kernels(ch, samples, rng)
         n = len(probe1)  # rows run kernel-major: row = kernel * n + probe
 
         def block(idx):
             k, j = np.divmod(idx, n)
             return _aux_gaps(ch, probe1[j], probe2[j], kernels[k])
 
-        gaps = _by_blocks(len(kernels) * n, aux_card * ch.w.size, block)
+        gaps = _by_blocks(len(kernels) * n, ch.nx1 * ch.nx2 * ch.w.size, block)
         i = int(np.argmin(gaps))
         worst = float(gaps[i])
         k, j = divmod(i, n)

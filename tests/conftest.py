@@ -197,11 +197,11 @@ class PointwiseSearchOracle:
         """The p2 lattice the searches took before they took the vertices."""
         return dsc.simplex_grid(self.ch.nx2, resolution)
 
-    def gap_search(self, grid: int, p2_set, refine: int = 2):
+    def gap_search(self, grid: int, p2_set):
         """(worst gap, p1, p2) of the condition-4/11/14 search over the p1
-        lattice x ``p2_set(grid)``.  Each refinement shrinks the p1 lattice
-        around the incumbent; the p2 lattice shrinks with it, while the
-        vertices stay as they are (the gap is linear in p2)."""
+        lattice x ``p2_set(grid)``.  Each of the two refinements shrinks the
+        p1 lattice around the incumbent; the p2 lattice shrinks with it,
+        while the vertices stay as they are (the gap is linear in p2)."""
         lat1 = dsc.simplex_grid(self.ch.nx1, grid)
         set2 = p2_set(grid)
         best = (np.inf, None, None)
@@ -210,7 +210,7 @@ class PointwiseSearchOracle:
                 g = self.pair_gap(p1, p2)
                 if g < best[0]:
                     best = (g, p1, p2)
-        for _ in range(refine):
+        for _ in range(2):
             _, p1c, p2c = best
             patch2 = set2 if p2_set == self.vertices else dsc._shrink_patch(p2c, set2)
             for p1 in dsc._shrink_patch(p1c, lat1):
@@ -228,20 +228,16 @@ class PointwiseSearchOracle:
         return (mi(j, axes, ("v",), ("y1",), ("x2",))
                 - mi(j, axes, ("v",), ("y2",), ("x2",)))
 
-    def condition7(self, grid: int, p2_set, aux_card: int | None = None,
-                   samples: int = 2000, seed: int = 0):
+    def condition7(self, grid: int, p2_set, samples: int = 2000, seed: int = 0):
         """(worst gap, p1, p2, kernel) of the condition-7 search, kernels
         outer and probes inner, with the library's kernel draws; the probes
-        and the condition-4 search take their p2 from ``p2_set``."""
+        take their p2 from ``p2_set``."""
         ch = self.ch
         rng = np.random.default_rng(seed)
         lat1 = dsc.simplex_grid(ch.nx1, max(3, grid // 4))
         set2 = p2_set(max(3, grid // 4))
         probes = [(p1, p2) for p1 in lat1 for p2 in set2]
-        _, p1w, p2w = self.gap_search(grid, p2_set, refine=1)
-        probes.append((p1w, p2w))
-        kernels = dsc._sample_v_kernels(ch, aux_card or ch.nx1 * ch.nx2,
-                                        samples, rng)
+        kernels = dsc._sample_v_kernels(ch, samples, rng)
         best = (np.inf, None, None, None)
         for kernel in kernels:
             for p1, p2 in probes:

@@ -10,11 +10,13 @@ compare against it still check the library's own expressions.  The outer
 bound's 16 constraints come from ``rhs_reference``, a frozen copy of the
 table as it was written before each information term was named; the
 library's side tables (``outer_bound._side_bounds``) must equal its class
-minima bit for bit.
+minima bit for bit.  ``simplex_grid_reference`` is the simplex lattice as
+first written, one sorted symbol tuple per point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -559,6 +561,17 @@ def reference_sides(ch: GaussianIC, alpha, beta) -> tuple[np.ndarray, np.ndarray
 
 # ---------------------------------------------------------------------------
 # per-distribution discrete kernel
+
+
+def simplex_grid_reference(dim: int, resolution: int) -> np.ndarray:
+    """Uniform lattice on the probability simplex with the given resolution,
+    one ``resolution - 1``-long symbol tuple per point: (points, steps, dim)
+    memory, so keep the resolution small."""
+    if resolution < 2:
+        raise InputError("simplex resolution must be at least 2")
+    steps = resolution - 1
+    comps = np.array(list(itertools.combinations_with_replacement(range(dim), steps)))
+    return (comps[:, :, None] == np.arange(dim)).sum(axis=1) / steps
 
 
 def mi(

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -306,16 +307,21 @@ def test_check_condition_fails_on_constant_output(tmp_path, runner):
     assert doc["worst_gap"] <= -0.99
 
 
-@pytest.mark.parametrize("extra", [["--aux-card", "0"], ["--aux-card", "-1"],
-                                   ["--samples", "-1"]],
-                         ids=["aux-card-0", "aux-card-neg", "samples-neg"])
-def test_check_condition7_rejects_bad_counts(tmp_path, runner, extra):
+@pytest.mark.parametrize("extra, text", [
+    (["--aux-card", "0"], "No such option '--aux-card'"),
+    (["--aux-card", "-1"], "No such option '--aux-card'"),
+    (["--samples", "-1"], "error: samples must be nonnegative"),
+    (["--grid", "1"], "error: simplex resolution must be at least 2"),
+    (["--grid", "0"], "error: simplex resolution must be at least 2"),
+], ids=["aux-card-0", "aux-card-neg", "samples-neg", "grid-1", "grid-0"])
+def test_check_condition7_rejects_bad_counts(tmp_path, runner, extra, text):
+    # v always takes |X1|·|X2| values, so --aux-card is a usage error
     spec = write_json(tmp_path / "d.json", discrete_doc())
     res = runner.invoke(main, ["check", "--channel", spec, "--condition", "7",
                                "--grid", "5", "--samples", "20"] + extra)
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
-    assert "error:" in res.output
+    assert text in res.output and res.stdout == ""
 
 
 def test_check_condition7_zero_samples_runs(tmp_path, runner):
@@ -928,6 +934,24 @@ def test_rogue_inputs_exit_cleanly(tmp_path, runner, case):
         assert (doc["cell_count"], doc["per_cell"], doc["trials"]) == (2, 1, 5)
 
 
+@pytest.mark.parametrize("doc", [
+    sim_config(n=1024, r1=0.0, r2=0.0, d12=0.0, trials=3, seed=5),
+    sim_config(channel=TERNARY_SIM, n=700, r1=0.01, r2=0.01, d12=0.01,
+               trials=3, seed=6),
+], ids=["binary-n1024", "ternary-n700"])
+def test_simulate_long_blocks_run(tmp_path, runner, doc):
+    # 2^1024 and 3^700 sequences overflow a float: the de-duplication rule
+    # still decides, and the runs repeat byte for byte
+    path = write_json(tmp_path / "cfg.json", doc)
+    outs = [runner.invoke(main, ["simulate", "--config", path]) for _ in range(2)]
+    for res in outs:
+        assert res.exit_code == 0, res.output
+    assert outs[0].stdout == outs[1].stdout
+    result = json.loads(outs[0].stdout)
+    assert result["n"] == doc["n"] and result["trials"] == 3
+    assert result["cell_count"] == (1 if doc["n"] == 1024 else 128)
+
+
 @pytest.mark.parametrize("seed", [2**53, 2**53 + 1, 2**64 - 1])
 def test_simulate_echoes_large_integer_seed(tmp_path, runner, seed):
     path = write_json(tmp_path / "cfg.json", sim_config(seed=seed))
@@ -1060,3 +1084,30 @@ def test_grid_past_memory_exits_2(tmp_path, command):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+# ------------------------------------------------ README synopsis
+
+def readme_synopsis() -> dict:
+    """Long options per command in the README's ``icbounds`` command block;
+    an indented line continues the command above it."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"),
+                        flags=re.S)
+    block = next(b for b in blocks if b.startswith("icbounds "))
+    options = {}
+    for line in block.splitlines():
+        if line.startswith("icbounds "):
+            name = line.split()[1]
+            options[name] = set()
+        options[name] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return options
+
+
+def test_readme_synopsis_matches_the_commands():
+    synopsis = readme_synopsis()
+    assert set(synopsis) == set(main.commands)
+    for name, command in main.commands.items():
+        declared = {opt for p in command.params for opt in p.opts
+                    if opt.startswith("--")}
+        assert synopsis[name] == declared, name

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -34,6 +35,7 @@ from reference import (
     is_point,
     mi,
     outer_constraints,
+    simplex_grid_reference,
     to_json_dict,
 )
 
@@ -353,6 +355,26 @@ def test_simplex_grid():
         assert np.array_equal(simplex_grid(dim, res), np.array(want))
 
 
+def test_simplex_grid_matches_tuple_reference():
+    # the same floats in the same order as the lattice built from one
+    # sorted symbol tuple per point
+    for dim, res in itertools.product(range(1, 5), range(2, 26)):
+        assert np.array_equal(simplex_grid(dim, res),
+                              simplex_grid_reference(dim, res))
+
+
+def test_fine_simplex_grid_stays_small():
+    # the tuple lattice took gigabytes here, for a 20001 x 2 result
+    tracemalloc.start()
+    try:
+        g = simplex_grid(2, 20001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.shape == (20001, 2) and g[0].tolist() == [1.0, 0.0]
+    assert peak < 5 << 20, peak
+
+
 def test_aux_dist_validation():
     with pytest.raises(InputError):
         AuxJointDist(np.array([0.5, 0.6]), np.full((2, 2), 0.5),
@@ -448,6 +470,19 @@ def test_condition7_matches_pointwise_oracle(name, ch, grid):
     assert rep.witnesses == {"p1": p1.tolist(), "p2": p2.tolist(),
                              "v_kernel": kernel.tolist()}
     assert abs(rep.worst_gap - g) <= 1e-12
+
+
+@pytest.mark.parametrize("name, ch, grid", SEARCH_CHANNELS,
+                         ids=[c[0] for c in SEARCH_CHANNELS])
+def test_v_equals_x1_gap_at_condition4_witness_is_its_negative(name, ch, grid):
+    # I(x1;y1|x2) - I(x1;y2|x2) is minus the condition-4 gap, so the
+    # condition-4 witness is where the v = x1 kernel's gap is largest: as a
+    # condition-7 probe it cannot deepen that kernel's gap
+    rep = check_condition(ch, 4, grid=grid)
+    v_x1 = dsc._sample_v_kernels(ch, 0, np.random.default_rng(0))[:1]
+    gap = dsc._aux_gaps(ch, np.array([rep.witnesses["p1"]]),
+                        np.array([rep.witnesses["p2"]]), v_x1)
+    assert abs(gap[0] + rep.worst_gap) <= 1e-12
 
 
 @pytest.mark.parametrize("name, ch, grid", SEARCH_CHANNELS,
@@ -678,32 +713,18 @@ def test_degraded_given_matches_loop(name, ch):
         assert not dsc._degraded_given(ch, "y2")
 
 
-@pytest.mark.parametrize("aux_card", [2, 3, 6])
-def test_structured_v_kernels_on_2x3_channel(aux_card):
-    # v = x1 needs 2 labels, v = x2 needs 3 and v = (x1, x2) needs 6; the
-    # constant v comes last, then the Dirichlet draws
+def test_structured_v_kernels_on_2x3_channel():
+    # v takes |X1|·|X2| = 6 labels: v = x1, v = x2, v = (x1, x2) and the
+    # constant v, then the Dirichlet draws
     ch = random_discrete(np.random.default_rng(9), (2, 2, 2, 3))
-    want = []
-    if aux_card >= 2:
-        k = np.zeros((2, 3, aux_card))
-        for x1 in range(2):
-            k[x1, :, x1] = 1.0
-        want.append(k)
-    if aux_card >= 3:
-        k = np.zeros((2, 3, aux_card))
-        for x2 in range(3):
-            k[:, x2, x2] = 1.0
-        want.append(k)
-    if aux_card >= 6:
-        k = np.zeros((2, 3, aux_card))
-        for x1, x2 in itertools.product(range(2), range(3)):
-            k[x1, x2, 3 * x1 + x2] = 1.0
-        want.append(k)
-    k = np.zeros((2, 3, aux_card))
-    k[:, :, 0] = 1.0
-    want.append(k)
-    got = dsc._sample_v_kernels(ch, aux_card, 5, np.random.default_rng(1))
-    assert len(got) == len(want) + 5 == {2: 7, 3: 8, 6: 9}[aux_card]
-    assert np.array_equal(got[:len(want)], np.stack(want))
-    draws = np.random.default_rng(1).gamma(1.0, size=(5, 2, 3, aux_card))
-    assert np.array_equal(got[len(want):], draws / draws.sum(axis=-1, keepdims=True))
+    want = np.zeros((4, 2, 3, 6))
+    for x1, x2 in itertools.product(range(2), range(3)):
+        want[0, x1, x2, x1] = 1.0
+        want[1, x1, x2, x2] = 1.0
+        want[2, x1, x2, 3 * x1 + x2] = 1.0
+        want[3, x1, x2, 0] = 1.0
+    got = dsc._sample_v_kernels(ch, 5, np.random.default_rng(1))
+    assert len(got) == 9
+    assert np.array_equal(got[:4], want)
+    draws = np.random.default_rng(1).gamma(1.0, size=(5, 2, 3, 6))
+    assert np.array_equal(got[4:], draws / draws.sum(axis=-1, keepdims=True))
