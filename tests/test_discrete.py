@@ -713,18 +713,21 @@ def test_degraded_given_matches_loop(name, ch):
         assert not dsc._degraded_given(ch, "y2")
 
 
-def test_structured_v_kernels_on_2x3_channel():
-    # v takes |X1|·|X2| = 6 labels: v = x1, v = x2, v = (x1, x2) and the
-    # constant v, then the Dirichlet draws
+@pytest.mark.parametrize("used", [2, 3, 6])
+def test_structured_v_kernels_on_2x3_channel(used):
+    # v takes |X1|·|X2| = 6 labels: v = x1 uses 2 of them, v = x2 uses 3 and
+    # v = (x1, x2) all 6; the constant v comes next, then the Dirichlet draws
     ch = random_discrete(np.random.default_rng(9), (2, 2, 2, 3))
-    want = np.zeros((4, 2, 3, 6))
+    k = {2: 0, 3: 1, 6: 2}[used]
+    want = np.zeros((2, 3, 6))
+    constant = np.zeros((2, 3, 6))
     for x1, x2 in itertools.product(range(2), range(3)):
-        want[0, x1, x2, x1] = 1.0
-        want[1, x1, x2, x2] = 1.0
-        want[2, x1, x2, 3 * x1 + x2] = 1.0
-        want[3, x1, x2, 0] = 1.0
+        want[x1, x2, (x1, x2, 3 * x1 + x2)[k]] = 1.0
+        constant[x1, x2, 0] = 1.0
     got = dsc._sample_v_kernels(ch, 5, np.random.default_rng(1))
     assert len(got) == 9
-    assert np.array_equal(got[:4], want)
+    assert np.array_equal(got[k], want)
+    assert np.flatnonzero(got[k].sum(axis=(0, 1))).tolist() == list(range(used))
+    assert np.array_equal(got[3], constant)
     draws = np.random.default_rng(1).gamma(1.0, size=(5, 2, 3, 6))
     assert np.array_equal(got[4:], draws / draws.sum(axis=-1, keepdims=True))
