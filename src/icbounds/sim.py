@@ -163,22 +163,12 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _within_half_space(count: int, support: int, n: int) -> bool:
-    """count <= support**n / 2, the rule for resampling duplicates.
-
-    Logarithms decide where the two sides lie more than a factor 2 apart,
-    so a space past the float range (binary n >= 1024) needs no float;
-    nearer, the float rule decides, with the rounding of its power."""
-    margin = n * math.log2(support) - math.log2(count) - 1
-    if abs(margin) > 1:
-        return margin > 0
-    return count <= float(support) ** n / 2
-
-
 def _draw_codebook(rng: np.random.Generator, count: int, n: int,
                    pmf: np.ndarray) -> np.ndarray:
     cb = rng.choice(pmf.size, size=(count, n), p=pmf)
-    if _within_half_space(count, int(np.count_nonzero(pmf)), n):
+    # Resample duplicates only when at most half the support's sequences
+    # are needed.  Exact integers: a float power overflows at binary n >= 1024.
+    if 2 * count <= int(np.count_nonzero(pmf)) ** n:
         # Each row's bytes are its key; unique's sort is stable, so the
         # first of equal rows is kept.  An integer key sum_t x_t |X|^t would
         # wrap modulo 2^64 once n log2|X| > 63, and wrapped keys collide.

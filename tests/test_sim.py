@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from icbounds import CellPartition, DiscreteIC, SimConfig, simulate
 from icbounds.errors import InputError, ResourceLimitError
 from icbounds.sim import (
+    DEFAULT_MESSAGE_CAP,
     _draw_codebook,
     _pair_loglik,
     _Precomp,
     _run_trial,
-    _within_half_space,
 )
 
 from conftest import (draw_codebook_rowwise, orthogonal_channel,
@@ -289,22 +289,33 @@ def test_draw_codebook_keeps_rows_an_integer_key_would_merge():
     assert np.array_equal(got, rows)
 
 
-def test_half_space_rule_matches_the_float_rule():
-    # where support**n is a finite float the decision is the float rule's,
-    # rounding of the power included (libm may round 3.0**34 otherwise than
-    # the exact 3**34 rounds to a float)
-    for k, n in itertools.product(range(1, 5), range(1, 61)):
+def _resamples(count, support, n):
+    """Whether _draw_codebook resamples a codebook of identical rows."""
+    calls = []
+
+    class Rng:
+        def choice(self, a, size, p):
+            calls.append(size)
+            return np.zeros(size, dtype=np.int64)
+
+    pmf = np.zeros(support + 1)
+    pmf[1:] = 1 / support  # one zero entry: the rule counts the support
+    _draw_codebook(Rng(), count, n, pmf)
+    return len(calls) > 1
+
+
+def test_resampling_rule_matches_the_float_rule():
+    # every count a codebook can have (at most the message cap) decides as
+    # count <= float(k) ** n / 2 did, around k^n / 2 and at both ends
+    for k, n in itertools.product(range(1, 5), range(1, 13)):
         half = k**n // 2
-        counts = {1, 2, 3, half - 2, half - 1, half, half + 1, half + 2,
-                  k**n - 1, k**n, k**n + 1, 2**52, 2**53 + 1}
-        for count in sorted(c for c in counts if c >= 1):
-            assert _within_half_space(count, k, n) == (count <= float(k) ** n / 2), \
+        counts = {2, 3, half - 1, half, half + 1, k**n, DEFAULT_MESSAGE_CAP}
+        for count in sorted(c for c in counts if 2 <= c <= DEFAULT_MESSAGE_CAP):
+            assert _resamples(count, k, n) == (count <= float(k) ** n / 2), \
                 (k, n, count)
 
 
-def test_half_space_rule_past_the_float_range():
-    # 2^1024 and more sequences: a float power would overflow
-    assert _within_half_space(1, 2, 1024)
-    assert _within_half_space(4096, 3, 700)
-    assert _within_half_space(2**60, 2, 10**6)
-    assert not _within_half_space(2**1100, 2, 1024)
+def test_resampling_rule_past_the_float_range():
+    # 2^1024 and 3^700 sequences: a float power would overflow
+    assert _resamples(2, 2, 1024)
+    assert _resamples(128, 3, 700)
