@@ -17,11 +17,22 @@ run's line gives whether its checks passed (``correct``) and how many ops
 it attempted and how many failed.  The files keep every run, but the
 script exits non-zero and names each run that was not correct or had a
 failed op, since such a run's metrics do not measure working code.
+
+With ``--table PARENT.json CHANGE.json`` it runs nothing and prints a
+Markdown table of two such files, one row per workload and end-to-end
+metric of ``BENCHMARK.json``: each side's median [q1, q3], how many
+same-seed pairs the change wins by the metric's ``better``, the relative
+change of the median, and a flag when the change is worse than the
+metric's ``bound`` or the parent's quartile spread is wider than the bound
+(unresolved):
+
+    python3 scripts/record_bench.py --table BENCH_parent.json BENCH_new.json
 """
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -93,6 +104,40 @@ def revision(checkout: Path) -> str:
     return head + ("-dirty" if dirty else "")
 
 
+def _quartiles(q: dict) -> str:
+    return f"{q['median']:.4g} [{q['q1']:.4g}, {q['q3']:.4g}]"
+
+
+def table(parent: dict, change: dict, metrics: list) -> str:
+    """Markdown rows comparing two BENCH_*.json documents on ``metrics``
+    (``BENCHMARK.json``'s end-to-end entries: name, better, bound)."""
+    lines = ["| workload | metric | parent median [q1, q3] | change median [q1, q3]"
+             " | change better | median change | flag |",
+             "|---|---|---|---|---|---|---|"]
+    runs = {(r["workload"], r["seed"]): r["metrics"] for r in change["runs"]}
+    for workload, sides in parent["summary"].items():
+        for m in metrics:
+            name, lower = m["name"], m["better"] == "lower"
+            if name not in sides or name not in change["summary"].get(workload, {}):
+                continue
+            p, c = sides[name], change["summary"][workload][name]
+            pairs = [(r["metrics"][name], runs[workload, r["seed"]][name])
+                     for r in parent["runs"] if r["workload"] == workload
+                     and name in runs.get((workload, r["seed"]), {})]
+            wins = sum((b < a) if lower else (b > a) for a, b in pairs)
+            rel = ((c["median"] - p["median"]) / abs(p["median"]) if p["median"]
+                   else 0.0 if c["median"] == 0 else math.copysign(math.inf, c["median"]))
+            flags = []
+            if (rel if lower else -rel) > m["bound"]:
+                flags.append("worse")
+            spread = p["q3"] - p["q1"]
+            if spread > m["bound"] * abs(p["median"]):
+                flags.append("unresolved")
+            lines.append(f"| {workload} | {name} | {_quartiles(p)} | {_quartiles(c)} | "
+                         f"{wins}/{len(pairs)} | {rel:+.3f} | {', '.join(flags)} |")
+    return "\n".join(lines) + "\n"
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
@@ -105,12 +150,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--checkout", action="append", required=True,
+    ap.add_argument("--checkout", action="append",
                     metavar="LABEL=DIR", help="a checkout to run, repeatable")
-    ap.add_argument("--workload", action="append", required=True)
-    ap.add_argument("--seed", action="append", type=int, required=True)
+    ap.add_argument("--workload", action="append")
+    ap.add_argument("--seed", action="append", type=int)
     ap.add_argument("--out-dir", default=".", help="where BENCH_*.json go")
+    ap.add_argument("--table", nargs=2, metavar=("PARENT.json", "CHANGE.json"),
+                    help="print the comparison table of two recordings; run nothing")
     args = ap.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.table:
+        parent, change = (json.loads(Path(f).read_text()) for f in args.table)
+        print(table(parent, change, bench["end_to_end"]), end="")
+        return
+    for name in ("checkout", "workload", "seed"):
+        if not getattr(args, name):
+            ap.error(f"--{name} is required unless --table is given")
 
     checkouts = []
     for item in args.checkout:
@@ -118,7 +173,7 @@ def main(argv=None):
         if not (sep and label and path):
             ap.error(f"--checkout wants LABEL=DIR, got {item!r}")
         checkouts.append((label, Path(path).resolve()))
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    seconds = bench["run_seconds"]
 
     env = {"nproc": len(os.sched_getaffinity(0)),
            "python": platform.python_version(), "numpy": numpy.__version__,

@@ -90,11 +90,12 @@ def point_region() -> RateRegion:
 
 def pentagon_vertices(r1, r2, s) -> np.ndarray:
     """Frontier vertices of each pentagon R1 <= r1, R2 <= r2, R1 + R2 <= s
-    (1-D arrays, or scalars for one pentagon), as the tests' halfplane
-    intersection (``from_constraints`` in ``tests/reference.py``) lists
-    them: (0, min(r2, s)), the corner (s - r2, r2) when the sum bound cuts
-    the R2 edge, and (min(r1, s), .), dropping near-duplicate and collinear
-    points by its tests.  Rows: origins, then corners, then ends."""
+    (1-D arrays, or scalars for one pentagon): (0, min(r2, s)), the corner
+    (s - r2, r2) when the sum bound cuts the R2 edge, and (min(r1, s), .),
+    dropping a point within 1e-12 of the one before it.  A corner on or
+    near the line through the ends stays: an inner region's convex hull
+    decides collinearity, and in one pentagon such a corner lies on the
+    frontier anyway.  Rows: origins, then corners, then ends."""
     r1, r2, s = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (r1, r2, s))
     for name, v in (("r1", r1), ("r2", r2), ("sum", s)):
         bad = ~np.isfinite(v) | (v < -1e-12)
@@ -114,9 +115,6 @@ def pentagon_vertices(r1, r2, s) -> np.ndarray:
     keep_a = (0.0 < xa) & (xa < x_end) & apart(xa, ya, x0, y0)
     keep_end = (x_end != 0.0) & np.where(keep_a, apart(x_end, y_end, xa, ya),
                                          apart(x_end, y_end, x0, y0))
-    cross = (xa - x0) * (y_end - y0) - (ya - y0) * (x_end - x0)
-    scale = np.maximum(1.0, np.maximum(np.abs(x_end - x0), np.abs(y_end - y0)))
-    keep_a &= ~keep_end | (np.abs(cross) > 1e-10 * scale)
     pts = [np.column_stack([x0, y0]),
            np.column_stack([xa, ya])[keep_a],
            np.column_stack([x_end, y_end])[keep_end]]
@@ -137,6 +135,10 @@ def hull_of_points(points) -> RateRegion:
     pts = np.maximum(pts, 0.0)
     x, y = pts[np.lexsort((-pts[:, 1], -pts[:, 0]))].T
     top = np.maximum.accumulate(y)
+    # The chord test's slack is 1e-15 times the extents' product when that
+    # is below 1 bit^2, so a region shrunk by a power of two keeps the same
+    # vertices.
+    tol = 1e-15 * min(1.0, float(x[0]) * float(top[-1]))
     stair = (x > 0) & (y > np.concatenate([[-1.0], top[:-1]]))
     best = [(0.0, float(top[-1]))] + list(zip(x[stair][::-1].tolist(),
                                               y[stair][::-1].tolist()))
@@ -145,7 +147,7 @@ def hull_of_points(points) -> RateRegion:
         while len(chain) >= 2:
             (x0, y0), (x1, y1) = chain[-2], chain[-1]
             cross = (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0)
-            if cross >= -1e-15:  # middle point on/under the chord: drop it
+            if cross >= -tol:  # middle point on/under the chord: drop it
                 chain.pop()
             else:
                 break
@@ -175,8 +177,11 @@ def frontier_csv(region: RateRegion) -> str:
 
 
 def from_csv(text: str) -> RateRegion:
-    """Parse a frontier CSV produced by :func:`frontier_csv`: a header
-    'r1,r2', then rows of exactly two finite numbers."""
+    """Parse a frontier CSV, such as :func:`frontier_csv` writes: a header
+    'r1,r2', then rows of exactly two finite numbers, r1 ascending.  The
+    region is the down-closure of the rows' points, so each r2 is raised
+    to the largest r2 at or right of its r1; a non-increasing column reads
+    as written."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0].lower().replace(" ", "") != "r1,r2":
         raise InputError("frontier CSV must start with header 'r1,r2'")
@@ -190,4 +195,4 @@ def from_csv(text: str) -> RateRegion:
     if not pairs:
         raise InputError("frontier CSV has no data rows")
     arr = np.array(pairs)
-    return RateRegion(arr[:, 0], np.minimum.accumulate(arr[:, 1]))
+    return RateRegion(arr[:, 0], np.maximum.accumulate(arr[::-1, 1])[::-1])

@@ -1,15 +1,16 @@
 """Desk-scale Monte Carlo simulation of the cell-partition conferencing schemes.
 
 Two schemes over a discrete memoryless channel, one conference round from
-receiver 1 to receiver 2 with budget d12:
+receiver 1 to receiver 2 with budget d12.  They differ only in receiver 1's
+decoder and in which of its estimates it forwards, as a cell index:
 
 * "thm2": receiver 1 jointly ML-decodes both messages and forwards the cell
-  index of its estimate of message 2; receiver 2 ML-decodes within the
-  announced cell.
+  of its estimate of message 2.
 * "thm4": receiver 1 ML-decodes its own message treating the interference as
-  noise under the induced marginal, forwards the cell index of that estimate;
-  receiver 2 jointly ML-decodes message 2 and the within-cell remainder of
-  message 1.
+  noise under the induced marginal, and forwards the cell of that estimate.
+
+Receiver 2 then jointly ML-decodes both messages, the forwarded one only
+within the announced cell.
 
 ML replaces joint-typicality decoding (strictly better, tractable at this
 scale).  Codebooks are i.i.d. from the input PMFs with duplicate codewords
@@ -151,8 +152,10 @@ class _Precomp:
                 f"message count ({m1}, {m2}) exceeds cap {cap}"
             )
         self.m1, self.m2 = m1, m2
-        rate_idx = cfg.r2 if cfg.scheme == "thm2" else cfg.r1
-        self.part = CellPartition.for_rate(cfg.n, rate_idx, cfg.d12)
+        # the message whose cell the conference carries: m2 (thm2) or m1 (thm4)
+        self.fwd = 1 if cfg.scheme == "thm2" else 0
+        self.part = CellPartition.for_rate(cfg.n, (cfg.r1, cfg.r2)[self.fwd],
+                                           cfg.d12)
         # Only the estimate of the partitioned message is forwarded; its
         # alphabet is the cell count, which meets the budget by construction.
         assert math.log2(self.part.cell_count) <= cfg.n * cfg.d12 + 1e-9
@@ -216,29 +219,20 @@ def _run_trial(cfg: SimConfig, pre: _Precomp, trial: int) -> tuple[bool, bool]:
     m1 = int(rng.integers(pre.m1))
     m2 = int(rng.integers(pre.m2))
     y1, y2 = _transmit(rng, pre, cb1[m1], cb2[m2])
-    part = pre.part
-
     if cfg.scheme == "thm2":
-        # receiver 1: joint ML over both codebooks
-        ll = _pair_loglik(pre.log_w1, y1, cb1, cb2)
-        flat = int(np.argmax(ll))
-        m1_hat, m2_hat_rx1 = divmod(flat, pre.m2)
-        cell = part.cell_of(m2_hat_rx1)
-        # receiver 2: ML over message 1 and the announced cell of message 2
-        members = part.cell_members(cell)
-        ll2 = _pair_loglik(pre.log_w2, y2, cb1, cb2[members])
-        flat2 = int(np.argmax(ll2))
-        m2_hat = int(members[flat2 % members.size])
-        return m1_hat != m1, m2_hat != m2
-
-    # scheme thm4: receiver 1 decodes its own message, interference as noise
-    ll1 = pre.log_w1_tin[y1[None, :], cb1].sum(axis=1)
-    m1_hat = int(np.argmax(ll1))
-    cell = part.cell_of(m1_hat)
-    members = part.cell_members(cell)
-    ll2 = _pair_loglik(pre.log_w2, y2, cb1[members], cb2)
-    flat2 = int(np.argmax(ll2))
-    m2_hat = flat2 % pre.m2
+        # receiver 1: joint ML over both codebooks; forwards its m2 estimate
+        ll1 = _pair_loglik(pre.log_w1, y1, cb1, cb2)
+        m1_hat, fwd_hat = divmod(int(np.argmax(ll1)), pre.m2)
+    else:
+        # receiver 1: ML over its own codebook, interference as noise
+        ll1 = pre.log_w1_tin[y1[None, :], cb1].sum(axis=1)
+        m1_hat = fwd_hat = int(np.argmax(ll1))
+    # receiver 2: joint ML over both codebooks, the forwarded message's cut
+    # to the announced cell of receiver 1's estimate
+    rows = [np.arange(pre.m1), np.arange(pre.m2)]
+    rows[pre.fwd] = pre.part.cell_members(pre.part.cell_of(fwd_hat))
+    ll2 = _pair_loglik(pre.log_w2, y2, cb1[rows[0]], cb2[rows[1]])
+    m2_hat = int(rows[1][int(np.argmax(ll2)) % rows[1].size])
     return m1_hat != m1, m2_hat != m2
 
 

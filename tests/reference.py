@@ -11,7 +11,9 @@ bound's 16 constraints come from ``rhs_reference``, a frozen copy of the
 table as it was written before each information term was named; the
 library's side tables (``outer_bound._side_bounds``) must equal its class
 minima bit for bit.  ``simplex_grid_reference`` is the simplex lattice as
-first written, one sorted symbol tuple per point.
+first written, one sorted symbol tuple per point.  ``run_trial_two_branch``
+is the simulator's trial as first written, with receiver 2's decoder once
+per scheme.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from icbounds.errors import InputError
 from icbounds.gaussian import GaussianIC, psi
 from icbounds.outer_bound import _squares
 from icbounds.regions import FRONTIER_SAMPLES, RateRegion, point_region
+from icbounds.sim import (SimConfig, _draw_codebook, _pair_loglik, _Precomp,
+                          _transmit, _trial_rng)
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +353,14 @@ def _dedupe_collinear(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def hull_of_points_loop(points) -> RateRegion:
     """``regions.hull_of_points`` as first written: every point goes through
-    a dict of the highest point per abscissa, then the same chain loop."""
+    a dict of the highest point per abscissa, then the same chain loop, with
+    the chord tolerance scaled as the library scales it."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.size == 0:
         return point_region()
     pts = np.maximum(pts, 0.0)
     r2_max = float(pts[:, 1].max())
+    tol = 1e-15 * min(1.0, float(pts[:, 0].max()) * r2_max)
     best: dict[float, float] = {0.0: r2_max}
     for x, y in pts:
         x = float(x)
@@ -365,7 +371,7 @@ def hull_of_points_loop(points) -> RateRegion:
         while len(chain) >= 2:
             (x0, y0), (x1, y1) = chain[-2], chain[-1]
             cross = (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0)
-            if cross >= -1e-15:  # middle point on/under the chord: drop it
+            if cross >= -tol:  # middle point on/under the chord: drop it
                 chain.pop()
             else:
                 break
@@ -694,3 +700,43 @@ def to_json_dict(ch: DiscreteIC) -> dict:
         "w": [float(v) for v in ch.w.reshape(-1)],
         "d12": ch.d12, "d21": ch.d21,
     }
+
+
+# ---------------------------------------------------------------------------
+# simulator trial (sim)
+
+
+def run_trial_two_branch(cfg: SimConfig, pre: _Precomp,
+                         trial: int) -> tuple[bool, bool]:
+    """``sim._run_trial`` as first written: the cell lookup and receiver
+    2's joint ML decoder written out once per scheme."""
+    rng = _trial_rng(cfg.seed, trial)
+    cb1 = _draw_codebook(rng, pre.m1, cfg.n, cfg.p1)
+    cb2 = _draw_codebook(rng, pre.m2, cfg.n, cfg.p2)
+    m1 = int(rng.integers(pre.m1))
+    m2 = int(rng.integers(pre.m2))
+    y1, y2 = _transmit(rng, pre, cb1[m1], cb2[m2])
+    part = pre.part
+
+    if cfg.scheme == "thm2":
+        # receiver 1: joint ML over both codebooks
+        ll = _pair_loglik(pre.log_w1, y1, cb1, cb2)
+        flat = int(np.argmax(ll))
+        m1_hat, m2_hat_rx1 = divmod(flat, pre.m2)
+        cell = part.cell_of(m2_hat_rx1)
+        # receiver 2: ML over message 1 and the announced cell of message 2
+        members = part.cell_members(cell)
+        ll2 = _pair_loglik(pre.log_w2, y2, cb1, cb2[members])
+        flat2 = int(np.argmax(ll2))
+        m2_hat = int(members[flat2 % members.size])
+        return m1_hat != m1, m2_hat != m2
+
+    # scheme thm4: receiver 1 decodes its own message, interference as noise
+    ll1 = pre.log_w1_tin[y1[None, :], cb1].sum(axis=1)
+    m1_hat = int(np.argmax(ll1))
+    cell = part.cell_of(m1_hat)
+    members = part.cell_members(cell)
+    ll2 = _pair_loglik(pre.log_w2, y2, cb1[members], cb2)
+    flat2 = int(np.argmax(ll2))
+    m2_hat = flat2 % pre.m2
+    return m1_hat != m1, m2_hat != m2

@@ -31,6 +31,7 @@ from conftest import (
 from reference import (
     AuxJointDist,
     RateConstraint,
+    _dedupe_collinear,
     from_constraints,
     is_point,
     mi,
@@ -308,6 +309,19 @@ def test_inner_region_monotone_in_conference():
     assert includes(r1, r0, tol=1e-9)
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1e-4])
+def test_weak_channel_inner_region_keeps_its_vertices(eps):
+    # a channel within eps of the uniform law: every rate is below 1e-6
+    # bit, and the hull keeps the 9 vertices it keeps at any larger scale
+    base = np.random.default_rng(3).dirichlet(np.ones(4), size=(2, 2))
+    w = 0.25 + eps * (base.transpose(2, 0, 1).reshape(2, 2, 2, 2) - 0.25)
+    reg = inner_region_strong(DiscreteIC(w), 0.0, grid=11)
+    assert reg.r1.size == 9
+    assert reg.r1_max < 1e-6
+    # the straight chord from (0, r2_max) to (r1_max, 0) reads r2_max / 2
+    assert float(reg.frontier_at(reg.r1_max / 2)) > 1.5 * reg.r2_max / 2
+
+
 def test_inner_region_box_bound(rng):
     for _ in range(5):
         ch = random_discrete(rng)
@@ -501,6 +515,9 @@ def test_inner_csv_matches_pointwise_oracle(name, ch, grid):
 
 
 def test_pentagon_vertices_match_from_constraints(rng):
+    # from_constraints also drops collinear corners; pentagon_vertices
+    # keeps them, so the two lists agree once its corners go through the
+    # same rule
     rows = [rng.uniform(0.0, 2.0, size=3) for _ in range(300)]
     rows += [
         (1.0, 0.5, 0.5), (1.0, 0.5, 0.4), (0.0, 0.5, 0.7), (0.3, 0.0, 0.2),
@@ -508,13 +525,18 @@ def test_pentagon_vertices_match_from_constraints(rng):
         (1.0, 0.5, 1.5), (1.0, 0.5, 1.5 + 1e-11), (1.0, 0.5, 1.5 - 1e-11),
         (1e-13, 0.5, 0.5 + 5e-14), (2.0, 1e-13, 1.0), (0.7, 0.7, 2.0),
         (1.0, 0.5, -5e-13), (1.0, -5e-13, 0.2), (4.0, 3.0, 3.0 + 2e-12),
+        (1e-8, 0.8e-8, 1.5e-8),
     ]
     for r1, r2, s in rows:
         reg = from_constraints([RateConstraint(1, 0, r1), RateConstraint(0, 1, r2),
                                 RateConstraint(1, 1, s)])
         got = pentagon_vertices(np.array([r1]), np.array([r2]), np.array([s]))
-        assert [tuple(p) for p in got.tolist()] == list(zip(reg.r1.tolist(),
-                                                            reg.r2.tolist()))
+        xs, ys = _dedupe_collinear(got[:, 0], got[:, 1])
+        assert (xs.tolist(), ys.tolist()) == (reg.r1.tolist(), reg.r2.tolist())
+    # at rates far below 1 bit the corner is a vertex like any other
+    small = pentagon_vertices(1e-8, 0.8e-8, 1.5e-8)
+    assert np.allclose(small, [[0.0, 0.8e-8], [0.7e-8, 0.8e-8], [1e-8, 0.5e-8]],
+                       rtol=1e-12, atol=0.0)
     for bad in ((np.inf, 0.5, 1.0), (1.0, -1e-9, 1.0), (1.0, 0.5, np.nan)):
         with pytest.raises(InputError):
             pentagon_vertices(*(np.array([v]) for v in bad))

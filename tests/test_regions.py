@@ -213,6 +213,27 @@ def test_hull_staircase_matches_point_loop_on_random_points():
                                    + rng.normal(0, 5e-16, n)]))
 
 
+def test_hull_is_the_same_at_every_power_of_two_scale():
+    # the chord tolerance scales with the region: shrinking the points by
+    # 2^-k shrinks the hull by exactly 2^-k and drops no vertex
+    rng = np.random.default_rng(5)
+    sets = [np.array([[0.0, 1.0], [0.5, 0.9], [1.0, 0.0]]),
+            np.array(near_chord(2e-15))]
+    sets += [rng.uniform(0.0, 1.0, size=(int(rng.integers(2, 60)), 2))
+             for _ in range(20)]
+    sets += [pentagon_vertices(*rng.uniform(0.0, 0.5, size=(3, 40)))
+             for _ in range(5)]
+    for points in sets:
+        want = same_hull(points)
+        for k in range(41):
+            got = same_hull(2.0**-k * points)
+            assert got.r1.tobytes() == (2.0**-k * want.r1).tobytes(), k
+            assert got.r2.tobytes() == (2.0**-k * want.r2).tobytes(), k
+    small = hull_of_points(sets[0] * 1e-8)
+    assert small.r1.size == 3
+    assert float(small.frontier_at(0.5e-8)) == pytest.approx(0.9e-8, rel=1e-12)
+
+
 def test_region_validation():
     with pytest.raises(InputError):
         RateRegion(np.array([0.0, 1.0]), np.array([0.5, 0.8]))  # increasing r2

@@ -116,3 +116,42 @@ def test_record_bench_names_a_tree_outside_git_by_its_src(tmp_path):
     (trees[1] / "src" / "pkg" / "mod.py").write_text("x = 1\n")
     (trees[1] / "src" / "pkg" / "mod2.py").write_text("")
     assert rb.revision(trees[1]) != first  # an added empty file counts too
+
+
+def test_record_bench_table_compares_two_recordings(tmp_path, capsys):
+    rb = _record_bench()
+
+    def doc(values):  # workload "w", seeds 1-4; metric -> one value per seed
+        runs = [{"workload": "w", "seed": seed,
+                 "metrics": {name: v[k] for name, v in values.items()}}
+                for k, seed in enumerate((1, 2, 3, 4))]
+        return {"summary": rb.summarize(runs), "runs": runs}
+
+    parent = doc({"ops_per_s": [100.0, 102.0, 98.0, 100.0],
+                  "setup_s": [1.0, 2.0, 0.5, 1.0],
+                  "latency_p50_ms": [10.0, 10.0, 10.0, 10.0]})
+    change = doc({"ops_per_s": [101.0, 103.0, 99.0, 97.0],
+                  "setup_s": [1.0, 2.0, 0.5, 1.0],
+                  "latency_p50_ms": [14.0, 9.0, 13.0, 12.0]})
+    files = []
+    for name, d in (("parent", parent), ("change", change)):
+        files.append(tmp_path / f"BENCH_{name}.json")
+        files[-1].write_text(json.dumps(d))
+    rb.main(["--table", *map(str, files)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("| workload | metric | parent median [q1, q3] |")
+    rows = {line.split(" | ")[1]: line for line in lines[2:]}
+    # BENCHMARK.json's order; metrics absent from the files are skipped
+    assert list(rows) == ["setup_s", "ops_per_s", "latency_p50_ms"]
+    assert rows["ops_per_s"] == ("| w | ops_per_s | 100 [99.5, 100.5] | "
+                                 "100 [98.5, 101.5] | 3/4 | +0.000 |  |")
+    # a parent spread of 0.375 s around a 1 s median: wider than the 0.25 bound
+    assert rows["setup_s"].endswith("| 0/4 | +0.000 | unresolved |")
+    # 10 ms -> 12.5 ms is 25% worse; lower is better, so 1 pair in 4 wins
+    assert rows["latency_p50_ms"].endswith("| 1/4 | +0.250 |  |")
+    change["summary"]["w"]["latency_p50_ms"]["median"] = 12.6
+    assert rb.table(parent, change, [{"name": "latency_p50_ms", "better": "lower",
+                                      "bound": 0.25}]).splitlines()[-1].endswith(
+        "| +0.260 | worse |")
+    with pytest.raises(SystemExit):  # a recording needs checkouts, workloads, seeds
+        rb.main(["--workload", "w", "--seed", "1"])

@@ -17,6 +17,7 @@ from icbounds.sim import (
 
 from conftest import (draw_codebook_rowwise, orthogonal_channel,
                       pair_loglik_columns, xor_copy_channel)
+from reference import run_trial_two_branch
 
 
 def _within(part, m):
@@ -319,3 +320,58 @@ def test_resampling_rule_past_the_float_range():
     # 2^1024 and 3^700 sequences: a float power would overflow
     assert _resamples(2, 2, 1024)
     assert _resamples(128, 3, 700)
+
+
+# ------------------------------------------ one decoding path against the oracle
+
+def _noisy_channel(seed, k, zero_frac):
+    """y1 = x1 and y2 = x1 + x2 mod k, each output pair redrawn at random
+    with probability 0.15; a share ``zero_frac`` of the random law is 0."""
+    rng = np.random.default_rng(seed)
+    noise = rng.gamma(1.0, size=(k,) * 4)
+    noise[rng.random(noise.shape) < zero_frac] = 0.0
+    noise[0, 0] += 1e-3  # every input pair keeps some output mass
+    noise /= noise.sum(axis=(0, 1), keepdims=True)
+    clean = np.zeros((k,) * 4)
+    for x1, x2 in itertools.product(range(k), repeat=2):
+        clean[x1, (x1 + x2) % k, x1, x2] = 1.0
+    return DiscreteIC(0.85 * clean + 0.15 * noise)
+
+
+# (channel, n, rate of both messages, d12, p1, p2, trials): one cell, every
+# cell a singleton, a last cell of 2 where the others hold 4 (18 messages),
+# a zero-mass input symbol of either user, and m = 256 codebooks
+TRIAL_CASES = {
+    "binary": ("binary", 8, 0.5, 0.25, None, None, 40),
+    "binary-one-cell": ("binary", 8, 0.5, 0.0, None, None, 40),
+    "binary-singletons": ("binary", 6, 0.5, 0.5, None, None, 40),
+    "ternary": ("ternary", 5, 0.8, 0.4, None, None, 30),
+    "ternary-uneven-cell": ("ternary", 6, 0.7, 0.4, None, None, 30),
+    "ternary-singletons": ("ternary", 4, 0.9, 2.0, None, None, 30),
+    "ternary-p1-zero-mass": ("ternary", 6, 0.6, 0.3, [0.5, 0.0, 0.5], None, 30),
+    "ternary-p2-zero-mass": ("ternary", 6, 0.6, 0.3, None, [0.0, 0.3, 0.7], 30),
+    "binary-m256": ("binary", 16, 0.5, 0.25, None, None, 4),
+}
+TRIAL_CHANNELS = {"binary": (2, 0.0), "ternary": (3, 0.7)}
+
+
+@pytest.mark.parametrize("scheme", ["thm2", "thm4"])
+@pytest.mark.parametrize("case", sorted(TRIAL_CASES))
+def test_run_trial_matches_two_branch_oracle(case, scheme):
+    family, n, rate, d12, p1, p2, trials = TRIAL_CASES[case]
+    k, zeros = TRIAL_CHANNELS[family]
+    ch = _noisy_channel(sorted(TRIAL_CASES).index(case), k, zeros)
+    cfg = SimConfig(ch, n=n, r1=rate, r2=rate, d12=d12, scheme=scheme,
+                    trials=trials, seed=7, p1=p1, p2=p2)
+    pre = _Precomp(cfg)
+    part = pre.part
+    if case.endswith("one-cell"):
+        assert part.cell_count == 1
+    if case.endswith("singletons"):
+        assert part.per_cell == 1
+    if case.endswith("uneven-cell"):
+        assert part.cell_count * part.per_cell > part.message_count
+    if case.endswith("m256"):
+        assert (pre.m1, pre.m2) == (256, 256)
+    got = [_run_trial(cfg, pre, t) for t in range(trials)]
+    assert got == [run_trial_two_branch(cfg, pre, t) for t in range(trials)]
