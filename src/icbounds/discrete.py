@@ -1,40 +1,38 @@
 """Finite-alphabet channels: the information kernel, regime-condition
-checkers and achievable inner regions.
+checkers and achievable inner regions.  Information is in bits.
 
-Joint distributions are plain numpy arrays with a tuple of axis labels
-carried alongside.  All information quantities are in bits.
+Every search and region takes independent inputs p1 x p2, under which each
+information term is an output entropy minus a term linear in the input,
+built from the channel matrices W[x1, x2, y] = P(y|x1,x2) of each output
+with no joint table.  With W_k = W(·|·, k), W^j = W(·|j, ·), h_k and h^j
+their row entropies and Hw[j, k] = H(W(·|j, k)):
 
-One information kernel, :func:`_mi_stack`, computes every mutual
-information here.  It takes a stack of joint tables with a leading batch
-axis and returns I(a; b | c) per table, computing each marginal entropy
-once over the whole stack with 0 log 0 = 0.  An entropy sums each table's positive cells in
-table order, by one path for every stack, so a table's value is the same
-float alone or in any stack.  The condition searches and the inner regions
-evaluate their whole input family (and, for condition 7, every auxiliary
-kernel at every probe input) as such stacks, in blocks from
-``regions.chunks``, so peak memory does not grow with the family.  Their
-set-up (lattices, input pairs, structured kernels, the degradedness test)
-is array code with no loop over cells; the lattice takes one pass per
-symbol.
+* I(x1;y|X2=k) = H(p1 W_k) − p1·h_k, and I(x1;y|x2) = Σ_k p2(k) of it;
+* I(x2;y|X1=j) = H(p2 W^j) − p2·h^j, and I(x2;y|x1) = Σ_j p1(j) of it;
+* I(x1,x2;y) = H(p1ᵀ W p2) − p1ᵀ Hw p2;
+* I(v;y|X2=k) = H(p1 K_k) + H(p1 W_k) − H(q) for a kernel K = P(v|x1,x2),
+  with q(v, y) = Σ_x1 p1(x1) K_k(v|x1) W_k(y|x1).
 
-The condition searches pair a p1 lattice with the vertices of the p2
-simplex.  That is exact in p2: under independent inputs every gap they
-test is linear in p2 (I(x1;y|x2) = sum_k p2(k) I(x1;y|X2=k), and so for
-I(v;y|x2)), so its minimum over the p2 simplex sits at a vertex.
-Condition 7 searches one fixed family of auxiliary kernels, with v on
-|X1|·|X2| labels: by Carathéodory, |X1| values of v per x2 reach every
-split of p1, so no other cardinality searches more.
+:func:`_entropy_rows` is the one entropy.  Each term is clamped at 0, and
+is exactly 0 when the rows it mixes are equal on the input's support.
+Mixtures add the rows in symbol order, elementwise, so a value is the same
+float in any row block (from ``regions.chunks``) and at any x2 slot.  Only
+I(x1,x2;y) takes an entropy per input pair; the other terms are computed
+once per p1 or per p2 and combined over the other lattice.
 
-The per-distribution 11-constraint outer-bound kernel and ``mi``, a
-validated batch-of-one call into :func:`_mi_stack`, are test references in
-``tests/reference.py``; no command evaluates them.
+The condition searches pair a p1 lattice with the p2 simplex's vertices,
+which is exact in p2: every gap is linear in p2, so its minimum sits at a
+vertex, where one x2 slot enters.  Condition 7 searches one fixed family
+of auxiliary kernels, with v on |X1|·|X2| labels: by Carathéodory, |X1|
+values of v per x2 reach every split of p1.
+
+The 11-constraint outer-bound kernel and ``mi``, the information of one
+labelled joint table, are test references in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ChannelShapeError, InputError
@@ -85,66 +83,81 @@ class DiscreteIC:
 
 
 def _entropy_rows(tables: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each table along the leading axis; 0 log 0 = 0.
+    """Entropy in bits of each row along the last axis; 0 log 0 = 0.
 
-    Each row sums only its positive terms, in table order, as numpy sums a
-    table's positive cells on their own: a row's value is the same float
+    Each row sums only its positive terms, in row order, as numpy sums a
+    row's positive cells on their own: a row's value is the same float
     whatever the other rows of the stack and wherever its zero cells lie.
     The rows with k positive cells are summed together: boolean indexing
-    lists each one's positive terms in table order, k to a row."""
-    p = tables.reshape(tables.shape[0], -1)
+    lists each one's positive terms in row order, k to a row."""
+    p = tables.reshape(-1, tables.shape[-1])
     pos = p > 0
     q = np.where(pos, p, 1.0)
     terms = q * np.log2(q)
     count = pos.sum(axis=1)
     out = np.empty(p.shape[0])
-    for k in np.unique(count):
+    for k in np.flatnonzero(np.bincount(count)):
         rows = count == k
         out[rows] = terms[pos & rows[:, None]].reshape(-1, k).sum(axis=1)
-    return -out
+    return -out.reshape(tables.shape[:-1])
 
 
-def _mi_stack(stack: np.ndarray, axes: Sequence[str], terms) -> np.ndarray:
-    """I(a; b | c) for every table of a stack, for each (a, b, c) in terms.
+def _laws(ch: DiscreteIC):
+    """(W, Hw) per output: W[x1, x2, y] = P(y|x1,x2), Hw its rows' entropies."""
+    ws = [np.ascontiguousarray(w.transpose(1, 2, 0)) for w in (ch.w.sum(1), ch.w.sum(0))]
+    return [(w, _entropy_rows(w)) for w in ws]
 
-    ``stack`` has a leading batch axis followed by the axes named in
-    ``axes``; the result has shape (len(terms), batch).  Each marginal
-    entropy the terms need is computed once over the whole stack.
-    """
-    cache: dict[frozenset, np.ndarray] = {}
 
-    def h(names: frozenset) -> np.ndarray:
-        if names not in cache:
-            drop = tuple(1 + i for i, n in enumerate(axes) if n not in names)
-            cache[names] = _entropy_rows(stack.sum(axis=drop) if drop else stack)
-        return cache[names]
-
-    out = np.empty((len(terms), stack.shape[0]))
-    for k, (a, b, c) in enumerate(terms):
-        a, b, c = frozenset(a), frozenset(b), frozenset(c)
-        val = h(a | c) + h(b | c) - h(a | b | c)
-        if c:
-            val = val - h(c)
-        out[k] = np.maximum(val, 0.0)
+def _mix(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Σ_j p[..., j] rows[..., j, :] for input laws p (..., n) and channel
+    rows (..., n, c) that broadcast with them, adding the rows in symbol
+    order, elementwise."""
+    out = p[..., :1] * rows[..., 0, :]
+    for j in range(1, p.shape[-1]):
+        out = out + p[..., j:j + 1] * rows[..., j, :]
     return out
+
+
+def _same_rows(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Whether the rows each input law p[b] mixes are equal (==) on its
+    support: then the input tells nothing of the rows' outcome."""
+    live = p > 0
+    apart = ~np.all(rows[..., :, None, :] == rows[..., None, :, :], axis=-1)
+    return ~np.any(apart & live[..., :, None] & live[..., None, :], axis=(-2, -1))
+
+
+def _mi(p: np.ndarray, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """I(x; y) for each input law p[b] through the rows P(y|x), entropies
+    h: H(p rows) − p·h, clamped at 0, and 0 where the mixed rows are equal."""
+    val = _entropy_rows(_mix(p, rows)) - _mix(p, h[..., None])[..., 0]
+    return np.where(_same_rows(p, rows), 0.0, np.maximum(val, 0.0))
+
+
+def _slot_mi(p: np.ndarray, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """I(a; y | B=k) for each input law p[b] of a and each slot k of the
+    other input, from w[a, k, y] and its row entropies h[a, k]: (B, slots)."""
+    return _mi(p[:, None], w.transpose(1, 0, 2), h.T)
+
+
+def _given_x2(p1, p2, w, h):  # I(x1;y|x2) at every pair p1[n] x p2[m]
+    return _mix(_slot_mi(p1, w, h), p2.T)
+
+
+def _given_x1(p1, p2, w, h):  # I(x2;y|x1) at every pair p1[n] x p2[m]
+    return _mix(p1, _slot_mi(p2, w.transpose(1, 0, 2), h.T).T)
+
+
+def _both(p1, p2, w, h):  # I(x1,x2;y) at every pair p1[n] x p2[m]
+    pair = (p1[:, None, :, None] * p2[None, :, None, :]).reshape(-1, h.size)
+    return _mi(pair, w.reshape(h.size, -1), h.reshape(-1)).reshape(len(p1), len(p2))
 
 
 def _by_blocks(rows: int, cells: int, fn) -> np.ndarray:
     """``fn(idx)`` over consecutive blocks of row indices, joined along the
-    last axis; each row stands for one joint table of ``cells`` cells."""
+    last axis; each row takes ``cells`` cells."""
     idx = np.arange(rows)
     return np.concatenate([fn(idx[block]) for block in chunks(rows, cells)],
                           axis=-1)
-
-
-AXES4 = ("x1", "x2", "y1", "y2")
-
-
-def _product_joints(ch: DiscreteIC, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Stack of joints over AXES4 at the product inputs p1[n] x p2[n]."""
-    joints = p2[:, None, :, None, None] * ch.w.transpose(2, 3, 0, 1)
-    joints *= p1[:, :, None, None, None]
-    return joints
 
 
 # ---------------------------------------------------------------------------
@@ -181,35 +194,21 @@ def simplex_grid(dim: int, resolution: int) -> np.ndarray:
     return np.column_stack([counts, left]) / steps
 
 
-def _product_inputs(set1: np.ndarray, set2: np.ndarray):
-    """The pairs of set1 x set2, set1-major, as row-aligned (p1, p2) stacks."""
-    return np.repeat(set1, len(set2), axis=0), np.tile(set2, (len(set1), 1))
-
-
-def _gap_argmin(ch: DiscreteIC, set1: np.ndarray):
-    """Smallest I(x1;y2|x2) - I(x1;y1|x2) over the independent inputs
-    set1 x the p2 vertices, set1-major; the first minimum wins."""
-    p1, p2 = _product_inputs(set1, np.eye(ch.nx2))
-
-    def block(idx):
-        m = _mi_stack(_product_joints(ch, p1[idx], p2[idx]), AXES4,
-                      [(("x1",), ("y2",), ("x2",)), (("x1",), ("y1",), ("x2",))])
-        return m[0] - m[1]
-
-    gaps = _by_blocks(len(p1), ch.w.size, block)
-    i = int(np.argmin(gaps))
-    return float(gaps[i]), p1[i], p2[i]
-
-
 def _input_gap_search(ch: DiscreteIC, grid: int):
-    """Minimize the cross-vs-direct gap over the p1 lattice x the p2
-    vertices, then twice shrink a p1 patch around the incumbent."""
+    """(gap, p1, p2) of the smallest I(x1;y2|x2) - I(x1;y1|x2) over the p1
+    lattice x the p2 vertices, p1-major, the first minimum winning; then
+    twice over the lattice shrunk around the incumbent p1."""
     lat1 = simplex_grid(ch.nx1, grid)
-    best = _gap_argmin(ch, lat1)
-    for _ in range(2):
-        cand = _gap_argmin(ch, _shrink_patch(best[1], lat1))
-        if cand[0] < best[0]:
-            best = cand
+    (w1, h1), (w2, h2) = _laws(ch)
+    best = (np.inf,)
+    for rnd in range(3):
+        set1 = _shrink_patch(best[1], lat1) if rnd else lat1
+        gaps = _by_blocks(len(set1), ch.nx1 * ch.nx2 * (ch.ny1 + ch.ny2),
+                          lambda idx: (_slot_mi(set1[idx], w2, h2)
+                                       - _slot_mi(set1[idx], w1, h1)).reshape(-1))
+        i = int(np.argmin(gaps))
+        if gaps[i] < best[0]:
+            best = (float(gaps[i]), set1[i // ch.nx2], np.eye(ch.nx2)[i % ch.nx2])
     return best
 
 
@@ -262,16 +261,18 @@ def _sample_v_kernels(ch: DiscreteIC, samples: int,
                            draws / draws.sum(axis=-1, keepdims=True)])
 
 
-def _aux_gaps(ch: DiscreteIC, p1: np.ndarray, p2: np.ndarray,
-              kernels: np.ndarray) -> np.ndarray:
-    """I(v;y1|x2) - I(v;y2|x2) at independent inputs p1[n], p2[n] and
-    P(v|x1,x2) = kernels[n]; joints over (v, x1, x2, y1, y2)."""
-    joints = kernels.transpose(0, 3, 1, 2)[..., None, None] * ch.w.transpose(2, 3, 0, 1)
-    joints *= p2[:, None, None, :, None, None]
-    joints *= p1[:, None, :, None, None, None]
-    m = _mi_stack(joints, ("v", "x1", "x2", "y1", "y2"),
-                  [(("v",), ("y1",), ("x2",)), (("v",), ("y2",), ("x2",))])
-    return m[0] - m[1]
+def _aux_mi(p1: np.ndarray, slot: np.ndarray, kernels: np.ndarray,
+            w: np.ndarray) -> np.ndarray:
+    """I(v;y|X2=slot[b]) at the input law p1[b] and P(v|x1,x2) = kernels[b],
+    from w[x1, x2, y] = P(y|x1,x2): H(p1 K) + H(p1 W) − H(q), clamped at 0,
+    and 0 where the mixed rows of K or of W are equal."""
+    k_rows = kernels[np.arange(len(slot)), :, slot]  # (B, x1, v)
+    w_rows = w[:, slot].transpose(1, 0, 2)  # (B, x1, y)
+    q_rows = (k_rows[..., None] * w_rows[:, :, None]).reshape(len(slot), w.shape[0], -1)
+    val = (_entropy_rows(_mix(p1, k_rows)) + _entropy_rows(_mix(p1, w_rows))
+           - _entropy_rows(_mix(p1, q_rows)))
+    zero = _same_rows(p1, k_rows) | _same_rows(p1, w_rows)
+    return np.where(zero, 0.0, np.maximum(val, 0.0))
 
 
 def check_condition(
@@ -316,20 +317,21 @@ def check_condition(
         if grid < 2:
             raise InputError("simplex resolution must be at least 2")
         rng = np.random.default_rng(seed)
-        probe1, probe2 = _product_inputs(simplex_grid(ch.nx1, max(3, grid // 4)),
-                                         np.eye(ch.nx2))
+        probe1 = simplex_grid(ch.nx1, max(3, grid // 4))
         kernels = _sample_v_kernels(ch, samples, rng)
-        n = len(probe1)  # rows run kernel-major: row = kernel * n + probe
+        (w1, _), (w2, _) = _laws(ch)
+        n = len(probe1) * ch.nx2  # row = kernel * n + p1 * |X2| + x2 slot
 
         def block(idx):
             k, j = np.divmod(idx, n)
-            return _aux_gaps(ch, probe1[j], probe2[j], kernels[k])
+            p, s, v = probe1[j // ch.nx2], j % ch.nx2, kernels[k]
+            return _aux_mi(p, s, v, w1) - _aux_mi(p, s, v, w2)
 
-        gaps = _by_blocks(len(kernels) * n, ch.nx1 * ch.nx2 * ch.w.size, block)
+        gaps = _by_blocks(len(kernels) * n,
+                          ch.nx1 * ch.nx1 * ch.nx2 * (ch.ny1 + ch.ny2), block)
         i = int(np.argmin(gaps))
-        worst = float(gaps[i])
-        k, j = divmod(i, n)
-        wit = {"p1": probe1[j].tolist(), "p2": probe2[j].tolist(),
+        worst, k, (j, s) = float(gaps[i]), i // n, divmod(i % n, ch.nx2)
+        wit = {"p1": probe1[j].tolist(), "p2": np.eye(ch.nx2)[s].tolist(),
                "v_kernel": kernels[k].tolist()}
     else:
         raise InputError(f"unknown condition id {which}; expected 4, 7, 11 or 14")
@@ -345,32 +347,27 @@ def check_condition(
 def _inner_region(ch: DiscreteIC, d12: float, grid: int,
                   one_sided: bool) -> RateRegion:
     """Convex hull of the union over a product-input lattice of the
-    pentagons R1 <= r1, R2 <= r2, R1 + R2 <= s.
-
-    Each pentagon enters the hull through its frontier vertices, from
-    ``regions.pentagon_vertices``.
-    """
+    pentagons R1 <= r1, R2 <= r2, R1 + R2 <= s, each entering through its
+    frontier vertices (``regions.pentagon_vertices``)."""
     if grid < 2:
         raise InputError("grid must be at least 2")
     lat1 = simplex_grid(ch.nx1, grid)
     lat2 = simplex_grid(ch.nx2, grid)
-    p1, p2 = _product_inputs(lat1, lat2)
-    if one_sided:
-        terms = [(("x1",), ("y1",), ()), (("x2",), ("y2",), ("x1",)),
-                 (("x1", "x2"), ("y2",), ())]
+    (w1, h1), (w2, h2) = _laws(ch)
+    # the terms of p1 alone and of p2 alone, combined over the other lattice
+    if one_sided:  # y1 depends on x1 alone: r1 = I(x1;y1) through P(y1|x1)
+        r1 = np.repeat(_mi(lat1, w1[:, 0], h1[:, 0])[:, None], len(lat2), axis=1)
+        r2 = _given_x1(lat1, lat2, w2, h2)
     else:
-        terms = [(("x1",), ("y1",), ("x2",)), (("x2",), ("y2",), ("x1",)),
-                 (("x2",), ("y1",), ("x1",)), (("x1", "x2"), ("y2",), ()),
-                 (("x1", "x2"), ("y1",), ())]
-    m = _by_blocks(len(p1), ch.w.size, lambda idx: _mi_stack(
-        _product_joints(ch, p1[idx], p2[idx]), AXES4, terms))
-    if one_sided:
-        r1, r2, s = m[0], m[1], m[2] + d12
-    else:
-        r1 = m[0]
-        r2 = np.minimum(m[1] + d12, m[2])
-        s = np.minimum(m[3] + d12, m[4])
-    return hull_of_points(pentagon_vertices(r1, r2, s))
+        r1 = _given_x2(lat1, lat2, w1, h1)
+        r2 = np.minimum(_given_x1(lat1, lat2, w2, h2) + d12,
+                        _given_x1(lat1, lat2, w1, h1))
+    outputs = [(w2, h2)] if one_sided else [(w2, h2), (w1, h1)]
+    both = _by_blocks(len(lat1), len(lat2) * ch.nx1 * ch.nx2 * (ch.ny1 + ch.ny2),
+                      lambda idx: np.stack([_both(lat1[idx], lat2, w, h).reshape(-1)
+                                            for w, h in outputs]))
+    s = both[0] + d12 if one_sided else np.minimum(both[0] + d12, both[1])
+    return hull_of_points(pentagon_vertices(r1.reshape(-1), r2.reshape(-1), s))
 
 
 def inner_region_strong(ch: DiscreteIC, d12: float, grid: int = 21) -> RateRegion:

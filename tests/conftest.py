@@ -172,7 +172,7 @@ class PointwiseSearchOracle:
     information term; a strict ``<`` keeps the first minimum in loop order.
     Each inner-region input gets a ``from_constraints`` pentagon, and the
     vertices of all of them go through one ``hull_of_points``.  The library
-    evaluates the same lattices as stacks of joints in row blocks.
+    evaluates the same lattices from the channel matrices in row blocks.
     """
 
     AXES = ("x1", "x2", "y1", "y2")

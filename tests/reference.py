@@ -4,9 +4,11 @@ These definitions check the library rather than serve a command: the
 covariance oracle for Gaussian mutual informations, halfplane
 intersection and region comparisons, the convex hull's point loop as
 first written, the 16 outer-bound constraints at one parameter point,
-and the per-distribution 11-constraint discrete kernel.  The discrete
-kernel imports the library's ``discrete._mi_stack``, so the tests that
-compare against it still check the library's own expressions.  The outer
+and the per-distribution 11-constraint discrete kernel.  That kernel and
+the pointwise search oracle in ``conftest.py`` take their informations
+from ``mi``, which sums the positive cells of one labelled joint table's
+marginals and shares no code with the library's kernel (which builds each
+term from the channel matrices), so the two agree to rounding.  The outer
 bound's 16 constraints come from ``rhs_reference``, a frozen copy of the
 table as it was written before each information term was named; the
 library's side tables (``outer_bound._side_bounds``) must equal its class
@@ -25,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from icbounds.discrete import NORM_TOL, DiscreteIC, _mi_stack
+from icbounds.discrete import NORM_TOL, DiscreteIC
 from icbounds.errors import InputError
 from icbounds.gaussian import GaussianIC, psi
 from icbounds.outer_bound import _squares
@@ -587,7 +589,9 @@ def mi(
     b: Iterable[str],
     cond: Iterable[str] = (),
 ) -> float:
-    """I(a; b | cond) in bits from a joint PMF with labelled axes."""
+    """I(a; b | cond) in bits from a joint PMF with labelled axes, clamped
+    at 0.  Each entropy sums the positive cells of its marginal table only,
+    in table order."""
     table = np.asarray(table, dtype=float)
     if table.ndim != len(axes):
         raise InputError("axis labels do not match table dimensions")
@@ -600,7 +604,15 @@ def mi(
     for name in sa | sb | sc:
         if name not in axes:
             raise InputError(f"unknown axis {name!r}")
-    return float(_mi_stack(table[None], tuple(axes), [(a, b, c)])[0, 0])
+
+    def h(names):
+        drop = tuple(i for i, n in enumerate(axes) if n not in names)
+        q = (table.sum(axis=drop) if drop else table).reshape(-1)
+        q = q[q > 0]
+        return float(-(q * np.log2(q)).sum())
+
+    val = h(sa | sc) + h(sb | sc) - h(sa | sb | sc) - (h(sc) if c else 0.0)
+    return max(val, 0.0)
 
 
 @dataclass(frozen=True, eq=False)

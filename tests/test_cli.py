@@ -499,9 +499,9 @@ INNER_MATRIX = {
     ("discrete", "3"): (2, 2, ""),
     ("discrete", "4"): (2, 2, ""),
     ("discrete", "5"): (2, 2, ""),
-    # R2 reaches only 6.7e-16 bit (a rounding residual) here, so the hull's
-    # chord slack scales down with the region and keeps one more vertex
-    ("discrete-os", "2"): (0, 0, "a8e78d576bcd7d7e"),
+    # y1 does not depend on x2, so the information that bounds R2 is
+    # exactly 0 and the region is the R1 axis
+    ("discrete-os", "2"): (0, 0, "37210313d3b212b0"),
     ("discrete-os", "3"): (2, 2, ""),
     ("discrete-os", "4"): (2, 2, ""),
     ("discrete-os", "5"): (0, 0, "04492d7cd3d5d515"),
@@ -577,17 +577,17 @@ CHECK_MATRIX = {
     ("one-sided", "7"): (0, "60adb038f47d9460"),
     ("one-sided", "11"): (0, "a65891357b24e6a5"),
     ("one-sided", "14"): (0, "a65891357b24e6a5"),
-    ("ternary", "4"): (0, "b60754c85da1f0eb"),
+    ("ternary", "4"): (0, "e6b50b39233ec6dd"),
     ("ternary", "7"): (0, "88fe9fb8c4635b78"),
-    ("ternary", "11"): (0, "b60754c85da1f0eb"),
+    ("ternary", "11"): (0, "e6b50b39233ec6dd"),
     ("ternary", "14"): (2, ""),
-    ("2x3", "4"): (0, "b0d04a354b923531"),
-    ("2x3", "7"): (0, "fc8948b000ffe71f"),
-    ("2x3", "11"): (0, "b0d04a354b923531"),
+    ("2x3", "4"): (0, "27af9008f546ec02"),
+    ("2x3", "7"): (0, "d4d2d9f6b5f40d42"),
+    ("2x3", "11"): (0, "27af9008f546ec02"),
     ("2x3", "14"): (2, ""),
-    ("zero-entry", "4"): (0, "4d0341eb9bc42d7c"),
+    ("zero-entry", "4"): (0, "0b0c1028353fc69f"),
     ("zero-entry", "7"): (0, "ba03c6840fa2493b"),
-    ("zero-entry", "11"): (0, "4d0341eb9bc42d7c"),
+    ("zero-entry", "11"): (0, "0b0c1028353fc69f"),
     ("zero-entry", "14"): (2, ""),
 }
 
