@@ -92,10 +92,11 @@ def pentagon_vertices(r1, r2, s) -> np.ndarray:
     """Frontier vertices of each pentagon R1 <= r1, R2 <= r2, R1 + R2 <= s
     (1-D arrays, or scalars for one pentagon): (0, min(r2, s)), the corner
     (s - r2, r2) when the sum bound cuts the R2 edge, and (min(r1, s), .),
-    dropping a point within 1e-12 of the one before it.  A corner on or
-    near the line through the ends stays: an inner region's convex hull
-    decides collinearity, and in one pentagon such a corner lies on the
-    frontier anyway.  Rows: origins, then corners, then ends."""
+    dropping only a point equal to the one before it, however small the
+    rates.  A corner on or near the line through the ends stays: an inner
+    region's convex hull decides collinearity, and in one pentagon such a
+    corner lies on the frontier anyway.  Rows: origins, then corners, then
+    ends."""
     r1, r2, s = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (r1, r2, s))
     for name, v in (("r1", r1), ("r2", r2), ("sum", s)):
         bad = ~np.isfinite(v) | (v < -1e-12)
@@ -108,13 +109,9 @@ def pentagon_vertices(r1, r2, s) -> np.ndarray:
     ya = np.minimum(r2, s - xa)
     y_end = np.minimum(r2, s - x_end)
     x0 = np.zeros_like(y0)
-
-    def apart(x, y, xp, yp):
-        return ~((np.abs(x - xp) < 1e-12) & (np.abs(y - yp) < 1e-12))
-
-    keep_a = (0.0 < xa) & (xa < x_end) & apart(xa, ya, x0, y0)
-    keep_end = (x_end != 0.0) & np.where(keep_a, apart(x_end, y_end, xa, ya),
-                                         apart(x_end, y_end, x0, y0))
+    # each kept point lies strictly right of the one before it
+    keep_a = (0.0 < xa) & (xa < x_end)
+    keep_end = x_end != 0.0
     pts = [np.column_stack([x0, y0]),
            np.column_stack([xa, ya])[keep_a],
            np.column_stack([x_end, y_end])[keep_end]]

@@ -29,6 +29,7 @@ import numpy as np
 
 from .discrete import DiscreteIC
 from .errors import InputError, ResourceLimitError
+from .regions import chunks
 
 DEFAULT_MESSAGE_CAP = 4096
 _DEDUP_PASSES = 32
@@ -144,6 +145,8 @@ class _Precomp:
         flat = w.reshape(-1, *w.shape[2:])
         self.cdf = np.cumsum(flat, axis=0)
         self.cdf[-1] = 1.0
+        self.draw1 = _choice_table(cfg.p1)
+        self.draw2 = _choice_table(cfg.p2)
 
         m1, m2 = cfg.message_counts()
         cap = cfg.message_cap
@@ -166,12 +169,22 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _choice_table(pmf: np.ndarray) -> tuple[np.ndarray, int]:
+    """The CDF that ``Generator.choice(p=pmf)`` searches, built as it builds
+    it, and the support size (the count of nonzero entries)."""
+    cdf = pmf.cumsum()
+    cdf /= cdf[-1]
+    return cdf, int(np.count_nonzero(pmf))
+
+
 def _draw_codebook(rng: np.random.Generator, count: int, n: int,
-                   pmf: np.ndarray) -> np.ndarray:
-    cb = rng.choice(pmf.size, size=(count, n), p=pmf)
+                   cdf: np.ndarray, support: int) -> np.ndarray:
+    """i.i.d. rows from a ``_choice_table``: each draw takes the same
+    uniforms, and gives the same symbols, as ``rng.choice(p=pmf)``."""
+    cb = cdf.searchsorted(rng.random((count, n)), side="right")
     # Resample duplicates only when at most half the support's sequences
     # are needed.  Exact integers: a float power overflows at binary n >= 1024.
-    if 2 * count <= int(np.count_nonzero(pmf)) ** n:
+    if 2 * count <= support ** n:
         # Each row's bytes are its key; unique's sort is stable, so the
         # first of equal rows is kept.  An integer key sum_t x_t |X|^t would
         # wrap modulo 2^64 once n log2|X| > 63, and wrapped keys collide.
@@ -183,7 +196,8 @@ def _draw_codebook(rng: np.random.Generator, count: int, n: int,
             dup = np.flatnonzero(~fresh)
             if dup.size == 0:
                 break
-            cb[dup] = rng.choice(pmf.size, size=(dup.size, n), p=pmf)
+            cb[dup] = cdf.searchsorted(rng.random((dup.size, n)),
+                                       side="right")
     return cb
 
 
@@ -199,23 +213,34 @@ def _pair_loglik(log_w: np.ndarray, y: np.ndarray,
                  cb_a: np.ndarray, cb_b: np.ndarray) -> np.ndarray:
     """Sum_t log w[y_t, a_t, b_t] for every codeword pair (a, b).
 
-    Each cell starts at 0.0 and adds its terms in t order.  That order is
-    part of the output: it decides which of two near-equal cells is larger,
-    so a matmul or a sum over a gathered stack, which reorder the additions,
-    can flip the callers' argmax.  The sum is held as (b, a) so that each
-    step gathers whole rows; the returned (a, b) view keeps argmax's scan,
-    and so its tie-breaking, in (a, b) order.
+    Each cell starts at 0.0 and adds its terms in t order, one step per
+    ``+=``.  That order is part of the output: it decides which of two
+    near-equal cells is larger, so a matmul or a reduce over a gathered
+    (n, b, a) stack must not replace the loop: numpy sums such a stack
+    pairwise along some shapes (m_a = 1), and the last bit moves.
+
+    One gather per block of steps builds the table rows[t |X_b| + s, a] =
+    log w[y_t, a_t, s], so step t adds whole rows, rows[b_t + t |X_b|],
+    for every b at once.  Blocks of steps (``regions.chunks``) bound the
+    table's memory whatever n is.  The sum is held as (b, a); the returned
+    (a, b) view keeps argmax's scan, and so its tie-breaking, in (a, b)
+    order.
     """
-    total = np.zeros((cb_b.shape[0], cb_a.shape[0]))
-    for t in range(y.size):
-        total += log_w[y[t]].T[:, cb_a[:, t]][cb_b[:, t]]
+    nb, m_a = log_w.shape[2], cb_a.shape[0]
+    total = np.zeros((cb_b.shape[0], m_a))
+    for block in chunks(y.size, nb * m_a):
+        rows = log_w[y[block, None], cb_a[:, block].T]  # (steps, a, s)
+        rows = rows.transpose(0, 2, 1).reshape(-1, m_a)
+        idx = cb_b[:, block].T + nb * np.arange(rows.shape[0] // nb)[:, None]
+        for step in idx:
+            total += rows.take(step, axis=0)
     return total.T
 
 
 def _run_trial(cfg: SimConfig, pre: _Precomp, trial: int) -> tuple[bool, bool]:
     rng = _trial_rng(cfg.seed, trial)
-    cb1 = _draw_codebook(rng, pre.m1, cfg.n, cfg.p1)
-    cb2 = _draw_codebook(rng, pre.m2, cfg.n, cfg.p2)
+    cb1 = _draw_codebook(rng, pre.m1, cfg.n, *pre.draw1)
+    cb2 = _draw_codebook(rng, pre.m2, cfg.n, *pre.draw2)
     m1 = int(rng.integers(pre.m1))
     m2 = int(rng.integers(pre.m2))
     y1, y2 = _transmit(rng, pre, cb1[m1], cb2[m2])

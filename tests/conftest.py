@@ -9,8 +9,8 @@ its LP dual, the discrete condition searches run one input point at a
 time (over the p2 vertices, or over the p2 lattice they replaced), the
 degradedness test loops over symbols, the cascade capacity evaluators'
 mutual informations come from the covariance oracle instead of closed
-forms, and the simulator's pair log-likelihoods and codebook
-de-duplication run as first written (column gathers, row-wise ``np.unique``).
+forms, and the simulator's pair log-likelihoods run as first written
+(column gathers).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import pytest
 from icbounds import DiscreteIC, GaussianIC
 from icbounds import discrete as dsc
 from icbounds import outer_bound as ob
-from icbounds import sim
 from icbounds.regions import hull_of_points
 
 from reference import GaussianSystem, RateConstraint, from_constraints, mi, rhs_reference
@@ -299,21 +298,6 @@ def pair_loglik_columns(log_w, y, cb_a, cb_b) -> np.ndarray:
     for t in range(y.size):
         total += log_w[y[t]][cb_a[:, t]][:, cb_b[:, t]]
     return total
-
-
-def draw_codebook_rowwise(rng, count, n, pmf) -> np.ndarray:
-    """i.i.d. codebook; duplicates found by ``np.unique(axis=0)`` and
-    ``np.setdiff1d`` and redrawn while count <= space / 2."""
-    cb = rng.choice(pmf.size, size=(count, n), p=pmf)
-    space = float(pmf[pmf > 0].size) ** n
-    if count <= space / 2:
-        for _ in range(sim._DEDUP_PASSES):
-            _, first = np.unique(cb, axis=0, return_index=True)
-            dup = np.setdiff1d(np.arange(count), first, assume_unique=False)
-            if dup.size == 0:
-                break
-            cb[dup] = rng.choice(pmf.size, size=(dup.size, n), p=pmf)
-    return cb
 
 
 def random_discrete(rng: np.random.Generator, shape=(2, 2, 2, 2)) -> DiscreteIC:

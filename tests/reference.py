@@ -14,8 +14,9 @@ table as it was written before each information term was named; the
 library's side tables (``outer_bound._side_bounds``) must equal its class
 minima bit for bit.  ``simplex_grid_reference`` is the simplex lattice as
 first written, one sorted symbol tuple per point.  ``run_trial_two_branch``
-is the simulator's trial as first written, with receiver 2's decoder once
-per scheme.
+is the simulator's trial as first written: ``draw_codebook_rowwise`` draws
+through ``Generator.choice`` and de-duplicates row by row, and receiver 2's
+decoder is written once per scheme.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from icbounds.errors import InputError
 from icbounds.gaussian import GaussianIC, psi
 from icbounds.outer_bound import _squares
 from icbounds.regions import FRONTIER_SAMPLES, RateRegion, point_region
-from icbounds.sim import (SimConfig, _draw_codebook, _pair_loglik, _Precomp,
+from icbounds.sim import (_DEDUP_PASSES, SimConfig, _pair_loglik, _Precomp,
                           _transmit, _trial_rng)
 
 
@@ -718,13 +719,30 @@ def to_json_dict(ch: DiscreteIC) -> dict:
 # simulator trial (sim)
 
 
+def draw_codebook_rowwise(rng, count, n, pmf) -> np.ndarray:
+    """i.i.d. codebook drawn by ``rng.choice(p=pmf)``; duplicates found by
+    ``np.unique(axis=0)`` and ``np.setdiff1d`` and redrawn while
+    count <= space / 2."""
+    cb = rng.choice(pmf.size, size=(count, n), p=pmf)
+    space = float(pmf[pmf > 0].size) ** n
+    if count <= space / 2:
+        for _ in range(_DEDUP_PASSES):
+            _, first = np.unique(cb, axis=0, return_index=True)
+            dup = np.setdiff1d(np.arange(count), first, assume_unique=False)
+            if dup.size == 0:
+                break
+            cb[dup] = rng.choice(pmf.size, size=(dup.size, n), p=pmf)
+    return cb
+
+
 def run_trial_two_branch(cfg: SimConfig, pre: _Precomp,
                          trial: int) -> tuple[bool, bool]:
-    """``sim._run_trial`` as first written: the cell lookup and receiver
-    2's joint ML decoder written out once per scheme."""
+    """``sim._run_trial`` as first written: codebooks drawn through
+    ``Generator.choice`` and de-duplicated row by row, and the cell lookup
+    and receiver 2's joint ML decoder written out once per scheme."""
     rng = _trial_rng(cfg.seed, trial)
-    cb1 = _draw_codebook(rng, pre.m1, cfg.n, cfg.p1)
-    cb2 = _draw_codebook(rng, pre.m2, cfg.n, cfg.p2)
+    cb1 = draw_codebook_rowwise(rng, pre.m1, cfg.n, cfg.p1)
+    cb2 = draw_codebook_rowwise(rng, pre.m2, cfg.n, cfg.p2)
     m1 = int(rng.integers(pre.m1))
     m2 = int(rng.integers(pre.m2))
     y1, y2 = _transmit(rng, pre, cb1[m1], cb2[m2])

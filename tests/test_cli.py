@@ -682,10 +682,19 @@ SIM_SPECS = {
     "p1-zero-mass": sim_config(channel=TERNARY_SIM, n=7, r1=0.6, r2=0.6,
                                d12=0.3, trials=40, seed=21,
                                p1=[0.5, 0.0, 0.5]),
+    # 256 of 3^6 = 729 sequences per codebook: each draw takes 3 to 6
+    # de-duplication passes
+    "tern-m256-thm4": sim_config(channel=TERNARY_SIM, n=6, r1=4 / 3, r2=4 / 3,
+                                 d12=0.5, scheme="thm4", trials=8, seed=22),
+    "skewed-inputs": sim_config(channel=TERNARY_SIM, n=6, r1=0.6, r2=0.7,
+                                d12=0.4, trials=40, seed=23,
+                                p1=[0.7, 0.2, 0.1], p2=[0.1, 0.25, 0.65]),
 }
 
 # spec -> sha256 prefix of the printed JSON, generated before the
-# simulator's de-duplication and pair log-likelihoods were rewritten: the
+# simulator's de-duplication and pair log-likelihoods were rewritten (and,
+# for tern-m256-thm4 and skewed-inputs, before codebooks were drawn from a
+# CDF built once and each decoding step became one row gather): each
 # rewrite had to keep every random draw and every argmax decision.
 SIM_MATRIX = {
     "m256": "62e9a5865a1c919f",
@@ -695,6 +704,8 @@ SIM_MATRIX = {
     "overloaded": "76579190cd2420c9",
     "p1-zero-mass": "db24f86fd4a25005",
     "singleton-cells": "4613758ba6945fce",
+    "skewed-inputs": "07aa8e456e568fbe",
+    "tern-m256-thm4": "dda46266de475256",
     "tern-thm2": "4146758d5d638257",
     "tern-thm4": "5352680861bed80c",
     "xor-thm2": "8d48f91c9942e5d2",

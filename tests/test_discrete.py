@@ -544,6 +544,10 @@ def test_pentagon_vertices_match_from_constraints(rng):
     small = pentagon_vertices(1e-8, 0.8e-8, 1.5e-8)
     assert np.allclose(small, [[0.0, 0.8e-8], [0.7e-8, 0.8e-8], [1e-8, 0.5e-8]],
                        rtol=1e-12, atol=0.0)
+    # and below 1e-12 bit too: only an exact duplicate is dropped
+    tiny = pentagon_vertices(1e-13, 0.8e-13, 1.5e-13)
+    assert np.allclose(tiny, [[0.0, 0.8e-13], [0.7e-13, 0.8e-13],
+                              [1e-13, 0.5e-13]], rtol=1e-12, atol=0.0)
     for bad in ((np.inf, 0.5, 1.0), (1.0, -1e-9, 1.0), (1.0, 0.5, np.nan)):
         with pytest.raises(InputError):
             pentagon_vertices(*(np.array([v]) for v in bad))

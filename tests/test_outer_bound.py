@@ -5,7 +5,8 @@ import textwrap
 import numpy as np
 import pytest
 
-from icbounds import GaussianIC, frontier_csv, outer_region, psi, sum_rate_bound
+from icbounds import (GaussianIC, capacity_region_one_sided, frontier_csv,
+                      outer_region, psi, sum_rate_bound)
 from icbounds import outer_bound as ob
 from icbounds import regions
 from icbounds.errors import InputError
@@ -186,6 +187,27 @@ def test_sum_rate_bound_matches_region_samples():
     sampled = float(np.max(xs + reg.frontier_at(xs)))
     assert sampled <= val + 1e-9
     assert val - sampled < 5e-3  # exact per-cell max vs frontier sampling
+
+
+@pytest.mark.parametrize("grid_n", [11, 201])
+def test_bound_is_tight_on_the_one_sided_capacity_family(grid_n):
+    # the reverse of acceptance criterion 7, on its 100 corollary-4
+    # channels (s12 = 0, |s21| >= |s11|, d21 = 0): the bound is the
+    # capacity region there, not just a superset of it
+    rng = np.random.default_rng(107)
+    for _ in range(100):
+        s11 = rng.uniform(0.2, 2.0)
+        ch = GaussianIC(s11, 0.0, s11 * rng.uniform(1.0, 2.5),
+                        rng.uniform(0.2, 2.0), rng.uniform(0.3, 4.0),
+                        rng.uniform(0.3, 4.0), rng.uniform(0, 1), 0.0)
+        cap = capacity_region_one_sided(ch)
+        reg = outer_region(ch, grid_n=grid_n)
+        assert reg.r1_max == pytest.approx(cap.r1_max, rel=0.0, abs=1e-12)
+        xs = np.union1d(np.union1d(reg.r1, cap.r1),
+                        np.linspace(0.0, cap.r1_max, 4001))
+        xs = xs[xs <= min(reg.r1_max, cap.r1_max)]
+        assert np.max(np.abs(reg.frontier_at(xs) - cap.frontier_at(xs))) <= 1e-12
+        assert sum_rate_bound(ch, grid_n=grid_n) == cap.max_sum()
 
 
 def test_preset_r1_extent_closed_form():

@@ -7,17 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from icbounds import CellPartition, DiscreteIC, SimConfig, simulate
 from icbounds.errors import InputError, ResourceLimitError
+from icbounds.regions import chunks
 from icbounds.sim import (
     DEFAULT_MESSAGE_CAP,
+    _choice_table,
     _draw_codebook,
     _pair_loglik,
     _Precomp,
     _run_trial,
 )
 
-from conftest import (draw_codebook_rowwise, orthogonal_channel,
-                      pair_loglik_columns, xor_copy_channel)
-from reference import run_trial_two_branch
+from conftest import orthogonal_channel, pair_loglik_columns, xor_copy_channel
+from reference import draw_codebook_rowwise, run_trial_two_branch
 
 
 def _within(part, m):
@@ -191,12 +192,20 @@ LOGLIK_CASES = {
     "mixed": (3, 2, 3, 64, 5, 12, 0.2),
     "tall": (2, 2, 2, 256, 3, 16, 0.0),
     "one-row": (2, 3, 2, 1, 7, 4, 0.3),
+    # m_a = 1 at n >= 16: a reduce over the gathered (n, m_b, 1) stack
+    # would add these pairwise
+    "one-row-long": (2, 2, 2, 1, 9, 24, 0.0),
+    "one-row-long-ternary": (3, 3, 3, 1, 27, 40, 0.2),
+    # 8,192 cells a step: 8 steps a block, so 20 steps take 3 blocks
+    "blocks": (2, 2, 2, 4096, 3, 20, 0.2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LOGLIK_CASES))
 def test_pair_loglik_bit_equal_to_column_loop(case):
     ny, na, nb, m_a, m_b, n, zeros = LOGLIK_CASES[case]
+    if case == "blocks":
+        assert len(chunks(n, nb * m_a)) == 3
     rng = np.random.default_rng(sorted(LOGLIK_CASES).index(case))
     saw_neginf = False
     for _ in range(20):
@@ -257,7 +266,7 @@ def test_draw_codebook_matches_rowwise_unique(case):
     for seed in range(25):
         rng_new = np.random.Generator(np.random.Philox(key=[seed, 5]))
         rng_old = np.random.Generator(np.random.Philox(key=[seed, 5]))
-        got = _draw_codebook(rng_new, count, n, pmf)
+        got = _draw_codebook(rng_new, count, n, *_choice_table(pmf))
         want = draw_codebook_rowwise(rng_old, count, n, pmf)
         assert np.array_equal(got, want)
         # the generator was consumed identically
@@ -266,15 +275,50 @@ def test_draw_codebook_matches_rowwise_unique(case):
     assert all_distinct == distinct
 
 
+# (pmf, support): uniform, skewed and zero-mass pmfs, and pmfs whose sum is
+# off 1 by up to 1e-9, as SimConfig accepts
+CHOICE_PMFS = {
+    "uniform-binary": ([0.5, 0.5], 2),
+    "uniform-5": ([0.2] * 5, 5),
+    "skewed": ([0.999, 0.001], 2),
+    "skewed-ternary": ([0.7, 0.2, 0.1], 3),
+    "zero-mass-first": ([0.0, 0.3, 0.7], 2),
+    "zero-mass-middle": ([0.6, 0.0, 0.4], 2),
+    "point-mass": ([0.0, 1.0, 0.0], 1),
+    "sum-over": ([0.5 + 5e-10, 0.5 + 5e-10], 2),
+    "sum-under": ([0.2, 0.5, 0.3 - 1e-9], 3),
+    "sum-under-zero-mass": ([0.25, 0.0, 0.75 - 1e-9], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHOICE_PMFS))
+def test_cdf_draw_consumes_the_stream_of_choice(case):
+    pmf, support = CHOICE_PMFS[case]
+    pmf = np.asarray(pmf)
+    cdf, got_support = _choice_table(pmf)
+    assert got_support == support
+    # more than half the support's sequences each: one draw, no resampling
+    for count, n in ((7, 1), (40, 2), (300, 3)):
+        assert 2 * count > support ** n
+        for seed in range(20):
+            rng_new = np.random.Generator(np.random.Philox(key=[seed, 9]))
+            rng_old = np.random.Generator(np.random.Philox(key=[seed, 9]))
+            got = _draw_codebook(rng_new, count, n, cdf, support)
+            want = rng_old.choice(pmf.size, size=(count, n), p=pmf)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert rng_new.integers(2**62) == rng_old.integers(2**62)
+
+
 class _ScriptedRng:
-    """Returns ``first`` from the first ``choice`` call, then fails."""
+    """Returns ``first`` from the first ``random`` call, then fails."""
 
     def __init__(self, first):
         self.first = first
 
-    def choice(self, *args, **kwargs):
+    def random(self, size):
         first, self.first = self.first, None
         assert first is not None, "a distinct row was resampled"
+        assert first.shape == size
         return first
 
 
@@ -286,7 +330,10 @@ def test_draw_codebook_keeps_rows_an_integer_key_would_merge():
     weights = 2 ** np.arange(79, -1, -1, dtype=np.uint64)
     keys = rows.astype(np.uint64) @ weights
     assert keys[0] == keys[1]
-    got = _draw_codebook(_ScriptedRng(rows.copy()), 6, 80, np.array([0.5, 0.5]))
+    # uniforms 0.25 and 0.75 draw symbols 0 and 1 from [0.5, 0.5]
+    uniforms = 0.25 + 0.5 * rows
+    got = _draw_codebook(_ScriptedRng(uniforms), 6, 80,
+                         *_choice_table(np.array([0.5, 0.5])))
     assert np.array_equal(got, rows)
 
 
@@ -295,13 +342,13 @@ def _resamples(count, support, n):
     calls = []
 
     class Rng:
-        def choice(self, a, size, p):
+        def random(self, size):
             calls.append(size)
-            return np.zeros(size, dtype=np.int64)
+            return np.zeros(size)
 
     pmf = np.zeros(support + 1)
     pmf[1:] = 1 / support  # one zero entry: the rule counts the support
-    _draw_codebook(Rng(), count, n, pmf)
+    _draw_codebook(Rng(), count, n, *_choice_table(pmf))
     return len(calls) > 1
 
 
