@@ -5,7 +5,9 @@ The bound is a family of 16 linear rate constraints parameterized by a pair
 per-parameter polytopes.  The union is taken over a warped parameter grid on
 each axis plus two cliff families that pin the feasibility edges, in three
 product blocks: grid x grid, alpha cliffs x beta grid and alpha grid x beta
-cliffs (143,313 cells at grid 201).  The 16 right-hand sides are sums of 25
+cliffs (143,313 cells at grid 201).  The cliff families are warped grids
+too (the beta one through a one-line map), placed where the single-user
+bounds take uniform levels exactly.  The 16 right-hand sides are sums of 25
 named psi terms, each computed once; every term is constant or a monotone
 function of alpha alone or of beta alone.  So ``_side_bounds`` writes each
 constraint into an alpha-side or a beta-side table of class bounds, and the
@@ -36,9 +38,10 @@ def _squares(ch: GaussianIC) -> tuple[float, float, float, float, float]:
     Raises when they overflow, or when the received powers of x1 and of x2
     summed over both outputs, (s11^2 + s21^2) p1 and (s12^2 + s22^2) p2, do;
     each received power s_ij^2 p_j is at most one of those two.  Raises too
-    when a product of received powers that ``_side_bounds`` or
-    ``_cliff_alpha`` forms does: with alpha, beta <= 1 and snr <= a p1 +
-    b p2 none exceeds the bounds checked here."""
+    when a product of received powers that ``_side_bounds`` forms does:
+    with alpha, beta <= 1 none exceeds the bounds checked here.  The bound
+    x2 (x1 + x2 + 1) guards no product formed in this module; it is kept
+    as an input bound, so the specs rejected with exit 2 stay the same."""
     try:
         sq = (ch.s11**2, ch.s12**2, ch.s21**2, ch.s22**2,
               (ch.s11 * ch.s22 - ch.s12 * ch.s21) ** 2)
@@ -52,7 +55,7 @@ def _squares(ch: GaussianIC) -> tuple[float, float, float, float, float]:
                          "large for floating point")
     products = (
         (x1 + 1) * (x2 + 1),       # be_k13's and al_k14's denominators
-        x2 * (x1 + x2 + 1),        # b p2 (snr + 1) in _cliff_alpha
+        x2 * (x1 + x2 + 1),        # an input bound only; no product here reaches it
         x1 + x2 + det2 * ch.p1 * ch.p2,  # y12's SNR, which bounds gt1's and gt2's
     )
     if not all(map(math.isfinite, products)):
@@ -168,36 +171,31 @@ def _param_grid(n: int, snr: float) -> np.ndarray:
 CLIFF_LEVELS = 256
 
 
-def _cliff_alpha(a: float, b: float) -> np.ndarray:
-    """Parameters where the alpha-side single-user bound hits CLIFF_LEVELS
-    uniform levels, given the received powers a = s11^2 p1 and b = s12^2 p2.
+def _cliffs(a: float, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """The alpha and the beta cliff families, given the received powers
+    a = s11^2 p1, b = s12^2 p2 and c = s21^2 p1: the parameters where each
+    side's single-user bound hits CLIFF_LEVELS uniform levels.
 
     The per-column maximum often sits exactly where that bound equals the
     queried abscissa, so a fixed family of such parameters pins the
     feasibility edge independently of the grid resolution (and of the
     conference capacities, keeping sweeps with different budgets cell-wise
-    comparable).
+    comparable).  Both families are warped grids.  The alpha bound
+    psi((a + b (1 - alpha)) / (b alpha + 1)) is psi(a + b) - psi(b alpha),
+    uniform exactly where ``_param_grid(CLIFF_LEVELS, b)`` is.  With lo <= hi
+    the two of a and c, psi(s) - psi(s beta) grows with s, so the beta bound
+    (k2) is psi(hi beta / (lo beta + 1)) + psi(lo); it is uniform where
+    hi beta / (lo beta + 1) = v hi / (lo + 1) for v on
+    ``_param_grid(CLIFF_LEVELS, hi / (lo + 1))``, that is at
+    beta = v / (1 + lo (1 - v)).  A family whose bound is constant (no
+    alpha cliffs when b = 0, no beta cliffs when a = c = 0) is empty.
     """
-    if b <= 0:
-        return np.empty(0)
-    lo, hi = psi(a / (b + 1)), psi(a + b)
-    snr = np.exp2(2.0 * np.linspace(lo, hi, CLIFF_LEVELS)) - 1.0
-    vals = (a + b - snr) / (b * (snr + 1.0))
-    return np.clip(vals, 0.0, 1.0)
-
-
-def _cliff_beta(a: float, c: float) -> np.ndarray:
-    """Beta values where the beta-side single-user bound hits CLIFF_LEVELS
-    uniform levels, given the received powers a = s11^2 p1 and c = s21^2 p1."""
+    alpha = _param_grid(CLIFF_LEVELS, b) if b > 0 else np.empty(0)
     if a <= 0 and c <= 0:
-        return np.empty(0)
-    dense = _param_grid(4097, a + c)
-    bound = np.minimum(
-        psi(a * dense / (c * dense + 1)) + psi(c),
-        psi(c * dense / (a * dense + 1)) + psi(a),
-    )
-    lvl = np.linspace(bound[0], bound[-1], CLIFF_LEVELS)
-    return np.interp(lvl, bound, dense)
+        return alpha, np.empty(0)
+    lo, hi = sorted((a, c))
+    v = _param_grid(CLIFF_LEVELS, hi / (lo + 1))
+    return alpha, v / (1 + lo * (1 - v))
 
 
 def _side_frontier(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -225,8 +223,9 @@ class _UnionEvaluator:
     """Union frontier over three product blocks of parameters.
 
     The parameter set is the warped base grid on each axis plus the two cliff
-    families, taken as three product blocks: alpha grid x beta grid, alpha
-    cliffs x beta grid and alpha grid x beta cliffs.  Every right-hand side
+    families of ``_cliffs`` (warped grids of CLIFF_LEVELS points each),
+    taken as three product blocks: alpha grid x beta grid, alpha cliffs x
+    beta grid and alpha grid x beta cliffs.  Every right-hand side
     depends on alpha alone or beta alone, so each reduced bound is
     min(a(alpha), b(beta)), and on a block A x B the frontier at abscissa x is
 
@@ -245,8 +244,7 @@ class _UnionEvaluator:
         s11_sq, s12_sq, s21_sq, s22_sq, _ = _squares(ch)
         al_g = _param_grid(grid_n, (s12_sq + s22_sq) * ch.p2)
         be_g = _param_grid(grid_n, (s11_sq + s21_sq) * ch.p1)
-        al_c = _cliff_alpha(s11_sq * ch.p1, s12_sq * ch.p2)
-        be_c = _cliff_beta(s11_sq * ch.p1, s21_sq * ch.p1)
+        al_c, be_c = _cliffs(s11_sq * ch.p1, s12_sq * ch.p2, s21_sq * ch.p1)
         al = np.concatenate([al_g, al_c])
         be = np.concatenate([be_g, be_c])
         a, b = _side_bounds(ch, al, be)

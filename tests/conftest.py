@@ -108,8 +108,8 @@ class FlatUnionOracle:
     def __init__(self, ch: GaussianIC, grid_n: int):
         al_g = ob._param_grid(grid_n, (ch.s12**2 + ch.s22**2) * ch.p2)
         be_g = ob._param_grid(grid_n, (ch.s11**2 + ch.s21**2) * ch.p1)
-        al_c = ob._cliff_alpha(ch.s11**2 * ch.p1, ch.s12**2 * ch.p2)
-        be_c = ob._cliff_beta(ch.s11**2 * ch.p1, ch.s21**2 * ch.p1)
+        al_c, be_c = ob._cliffs(ch.s11**2 * ch.p1, ch.s12**2 * ch.p2,
+                                ch.s21**2 * ch.p1)
         blocks = [(al_g, be_g), (al_c, be_g), (al_g, be_c)]
         alphas = np.concatenate([np.repeat(a, b.size) for a, b in blocks])
         betas = np.concatenate([np.tile(b, a.size) for a, b in blocks])

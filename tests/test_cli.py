@@ -736,16 +736,18 @@ OUTER_SPECS = {
 EXTERNAL_CSV = "r1,r2\n0,8\n2.5,7.25\n4,6\n6.5,2\n8,0\n"
 
 # (spec, grid, hull) -> (sha256 prefix of the CSV, of stdout with the path
-# replaced by {out}), generated before the test-only geometry left regions.
+# replaced by {out}), generated before the test-only geometry left regions;
+# the fig2 and fig3 CSV digests here and in FIGURE_MATRIX were regenerated
+# when the cliff families became warped grids that hit their levels exactly.
 OUTER_MATRIX = {
-    ("fig2", 11, False): ("f10d01b14571bbe6", "c4c22106667aab7f"),
-    ("fig2", 11, True): ("7ebdc5b766dcbd03", "c4c22106667aab7f"),
-    ("fig2", 201, False): ("3d2174033d6c0bbe", "0d3a1f7d5fd3acde"),
-    ("fig2", 201, True): ("a83b7d26fe0c5b7a", "0d3a1f7d5fd3acde"),
-    ("fig3", 11, False): ("628e9b1c858fdaac", "9cd56878ec023d77"),
-    ("fig3", 11, True): ("abe46f296a5e6435", "9cd56878ec023d77"),
-    ("fig3", 201, False): ("56d2ec1bb9b2711f", "30ad640ace7ce995"),
-    ("fig3", 201, True): ("6dc36fdd22f21471", "30ad640ace7ce995"),
+    ("fig2", 11, False): ("0d76fac70380bbb4", "c4c22106667aab7f"),
+    ("fig2", 11, True): ("53e0acdf19d53cfa", "c4c22106667aab7f"),
+    ("fig2", 201, False): ("57a55ca85d160a45", "0d3a1f7d5fd3acde"),
+    ("fig2", 201, True): ("116f0cb1b1c34ad5", "0d3a1f7d5fd3acde"),
+    ("fig3", 11, False): ("6fa559e1e2f9d13c", "9cd56878ec023d77"),
+    ("fig3", 11, True): ("3f85b61ab8d30743", "9cd56878ec023d77"),
+    ("fig3", 201, False): ("8e0b61f484a39fae", "30ad640ace7ce995"),
+    ("fig3", 201, True): ("4adce1607ca5b0a4", "30ad640ace7ce995"),
     ("fig4", 11, False): ("4e5a8da949329d18", "a74f4f09ab4be6ce"),
     ("fig4", 11, True): ("4e5a8da949329d18", "a74f4f09ab4be6ce"),
     ("fig4", 201, False): ("4e5a8da949329d18", "a74f4f09ab4be6ce"),
@@ -763,14 +765,14 @@ OUTER_MATRIX = {
 # (preset, grid) -> sha256 prefixes of the bound, hull and comparison CSVs
 # and of stdout (directory replaced by {out}), with --compare EXTERNAL_CSV.
 FIGURE_MATRIX = {
-    ("fig2", 11): ("f10d01b14571bbe6", "7ebdc5b766dcbd03",
-                   "6d7e9ce6c06bd9c0", "faa7a3267b4b311a"),
-    ("fig2", 201): ("3d2174033d6c0bbe", "a83b7d26fe0c5b7a",
-                    "e03a957b57be5e7c", "faa7a3267b4b311a"),
-    ("fig3", 11): ("628e9b1c858fdaac", "abe46f296a5e6435",
-                   "c796e1dffb41d540", "96612c0903f70cfa"),
-    ("fig3", 201): ("56d2ec1bb9b2711f", "6dc36fdd22f21471",
-                    "bd80cc31082d4dfc", "96612c0903f70cfa"),
+    ("fig2", 11): ("0d76fac70380bbb4", "53e0acdf19d53cfa",
+                   "5c27e42892683d4b", "faa7a3267b4b311a"),
+    ("fig2", 201): ("57a55ca85d160a45", "116f0cb1b1c34ad5",
+                    "374a2dce77a564a0", "faa7a3267b4b311a"),
+    ("fig3", 11): ("6fa559e1e2f9d13c", "3f85b61ab8d30743",
+                   "cdf06cb942bd3cc6", "96612c0903f70cfa"),
+    ("fig3", 201): ("8e0b61f484a39fae", "4adce1607ca5b0a4",
+                    "3362f4ac5ae6c8a1", "96612c0903f70cfa"),
     ("fig4", 11): ("4e5a8da949329d18", "4e5a8da949329d18",
                    "1f89b1086a861d5d", "7a7473059747716f"),
     ("fig4", 201): ("4e5a8da949329d18", "4e5a8da949329d18",
@@ -815,8 +817,8 @@ DET_OVERFLOW = gaussian_doc(s11=1e80, s12=3e80, s21=2e80, s22=1e80, p1=1.0,
 # squared gains that fit, received powers (s11^2 + s21^2) p1 that do not
 POWER_OVERFLOW = gaussian_doc(s11=1e150, s12=0.0, s21=2e150, s22=1.0, p1=1e100,
                               p2=1.0, d12=0.1, d21=0.0)
-# received powers that fit, products of them (k13, k14, the alpha cliffs)
-# that do not
+# received powers that fit, products of them that do not: it trips the
+# first product `_squares` checks, (x1 + 1)(x2 + 1) of k13 and k14
 PRODUCT_OVERFLOW = gaussian_doc(s11=1e70, s12=1e70, s21=2e70, s22=3e70, p1=1e20,
                                 p2=1e20, d12=0.1, d21=0.0)
 # squared gains that fit, a received power of one user that does not:

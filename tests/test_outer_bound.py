@@ -310,10 +310,9 @@ def test_side_bounds_match_frozen_reference(rng):
     assert any(0.0 in (ch.p1, ch.p2) for ch in chans)
     for ch in chans:
         a, b, c, d, _ = ob._squares(ch)
-        al = np.concatenate([[0.0, 1.0], ob._param_grid(11, (b + d) * ch.p2),
-                             ob._cliff_alpha(a * ch.p1, b * ch.p2)])
-        be = np.concatenate([[0.0, 1.0], ob._param_grid(11, (a + c) * ch.p1),
-                             ob._cliff_beta(a * ch.p1, c * ch.p1)])
+        al_c, be_c = ob._cliffs(a * ch.p1, b * ch.p2, c * ch.p1)
+        al = np.concatenate([[0.0, 1.0], ob._param_grid(11, (b + d) * ch.p2), al_c])
+        be = np.concatenate([[0.0, 1.0], ob._param_grid(11, (a + c) * ch.p1), be_c])
         _assert_sides_are_reference(ch, al, be)
         _assert_sides_are_reference(ch, rng.uniform(size=3), rng.uniform(size=2))
         # scalar parameters give one-column tables; the reference tells the
@@ -364,6 +363,36 @@ def test_param_grid_endpoints_exact():
             grid = ob._param_grid(n, snr)
             assert grid[0] == 0.0 and grid[-1] == 1.0
             assert np.all(np.diff(grid) > 0)
+
+
+def _assert_hits_levels(values, lo, hi):
+    want = np.linspace(lo, hi, ob.CLIFF_LEVELS)
+    miss = np.abs(np.sort(values) - want).max()
+    assert miss <= 1e-12, miss
+
+
+def test_cliff_families_hit_their_levels(rng):
+    # received powers a = s11^2 p1, b = s12^2 p2, c = s21^2 p1 from 1e-2 to
+    # 1e4, then a = c, a = 0, c = 0, a < c, a > c and a b near zero
+    abc = [tuple(x) for x in 10.0 ** rng.uniform(-2.0, 4.0, size=(2000, 3))]
+    abc += [(3.0, 2.0, 3.0), (1e4, 1e4, 1e4), (0.0, 5.0, 7.0), (0.0, 1e4, 1e-2),
+            (7.0, 5.0, 0.0), (1e-2, 1e4, 0.0), (0.5, 2.0, 40.0), (40.0, 2.0, 0.5),
+            (2.0, 1e-9, 3.0), (1e4, 1e-12, 1e-2), (0.0, 1e-10, 0.0)]
+    for a, b, c in abc:
+        alpha, beta = ob._cliffs(a, b, c)
+        assert np.all((alpha >= 0) & (alpha <= 1)) and np.all((beta >= 0) & (beta <= 1))
+        # the alpha-side R1 bound of k1 and the beta-side one, k2
+        _assert_hits_levels(psi((a + b * (1 - alpha)) / (b * alpha + 1)),
+                            psi(a / (b + 1)), psi(a + b))
+        if a == c == 0:
+            assert beta.size == 0
+            continue
+        k2 = np.minimum(psi(a * beta / (c * beta + 1)) + psi(c),
+                        psi(c * beta / (a * beta + 1)) + psi(a))
+        _assert_hits_levels(k2, psi(min(a, c)), psi(a + c))
+    # a bound that does not depend on its parameter has no cliffs
+    assert ob._cliffs(4.0, 0.0, 1.0)[0].size == 0
+    assert ob._cliffs(0.0, 4.0, 0.0)[1].size == 0
 
 
 def _assert_cells_match_candidates(cells):

@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import icbounds
+from icbounds.cli import main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -31,6 +33,14 @@ def test_script_runs(tmp_path, script, args):
         names = sorted(p.name for p in (tmp_path / "figs").iterdir())
         assert names == sorted(f"{f}_bound{h}.csv" for f in ("fig2", "fig3", "fig4")
                                for h in ("", "_hull"))
+        # the same bytes as `icbounds figure --preset P --grid 11`
+        for preset in ("fig2", "fig3", "fig4"):
+            res = CliRunner().invoke(main, ["figure", "--preset", preset, "--grid",
+                                            "11", "--out", str(tmp_path / "cli")])
+            assert res.exit_code == 0, res.output
+        for name in names:
+            assert (tmp_path / "figs" / name).read_bytes() == \
+                (tmp_path / "cli" / name).read_bytes(), name
 
 
 def _record_bench():
