@@ -210,8 +210,8 @@ def cmd_figure(preset: str, out_dir: str, grid: int, compare_path: str | None):
         ours = region.frontier_at(grid_r1)
         theirs = other.frontier_at(grid_r1)
         lines = ["r1,r2_bound,r2_external,difference"]
-        lines += [f"{x:.9g},{a:.9g},{b:.9g},{b - a:.9g}"
-                  for x, a, b in zip(grid_r1, ours, theirs)]
+        lines += map("%.9g,%.9g,%.9g,%.9g".__mod__, zip(
+            grid_r1.tolist(), ours.tolist(), theirs.tolist(), (theirs - ours).tolist()))
         (out / f"{preset}_comparison.csv").write_text("\n".join(lines) + "\n")
     click.echo(f"wrote {preset} outputs to {out_dir}")
 

@@ -13,7 +13,9 @@ function of alpha alone or of beta alone.  So ``_side_bounds`` writes each
 constraint into an alpha-side or a beta-side table of class bounds, and the
 largest R2 at a given R1 over a block is the min of a max over its alphas
 and a max over its betas: two 1-D sweeps instead of a 2-D one, with the same
-values bit for bit.  The frontier is exact at every sampled abscissa for the
+values bit for bit.  A cliff block can raise the frontier only where its
+own axis binds on the grid block, so each cliff family is swept at those
+abscissae alone.  The frontier is exact at every sampled abscissa for the
 swept parameter set and monotone under grid refinement.  Both sweeps take
 their cells in ``regions.chunks``.
 """
@@ -39,9 +41,7 @@ def _squares(ch: GaussianIC) -> tuple[float, float, float, float, float]:
     summed over both outputs, (s11^2 + s21^2) p1 and (s12^2 + s22^2) p2, do;
     each received power s_ij^2 p_j is at most one of those two.  Raises too
     when a product of received powers that ``_side_bounds`` forms does:
-    with alpha, beta <= 1 none exceeds the bounds checked here.  The bound
-    x2 (x1 + x2 + 1) guards no product formed in this module; it is kept
-    as an input bound, so the specs rejected with exit 2 stay the same."""
+    with alpha, beta <= 1 none exceeds the bounds checked here."""
     try:
         sq = (ch.s11**2, ch.s12**2, ch.s21**2, ch.s22**2,
               (ch.s11 * ch.s22 - ch.s12 * ch.s21) ** 2)
@@ -55,7 +55,6 @@ def _squares(ch: GaussianIC) -> tuple[float, float, float, float, float]:
                          "large for floating point")
     products = (
         (x1 + 1) * (x2 + 1),       # be_k13's and al_k14's denominators
-        x2 * (x1 + x2 + 1),        # an input bound only; no product here reaches it
         x1 + x2 + det2 * ch.p1 * ch.p2,  # y12's SNR, which bounds gt1's and gt2's
     )
     if not all(map(math.isfinite, products)):
@@ -236,6 +235,15 @@ class _UnionEvaluator:
     in floating point: t - x, t - 2x and (t - x)/2 round monotonically in t,
     so min commutes with them, and the max of min(F, G) over a product is
     min(max F, max G).  The union frontier is the max over the blocks.
+
+    With A and B the grid sides' maxima at x, the grid block gives
+    min(A, B), the alpha-cliff block min(C, B) and the beta-cliff block
+    min(A, D).  min(C, B) <= B, so it exceeds min(A, B) only where A < B;
+    likewise min(A, D) only where B < A.  So ``frontier`` sweeps the alpha
+    cliffs only at the abscissae where A < B, the beta cliffs only where
+    B < A and neither where A == B, and folds each in with the same max:
+    the value at every abscissa is the max over the same block values, so
+    it is bit-equal to sweeping both families everywhere.
     """
 
     def __init__(self, ch: GaussianIC, grid_n: int):
@@ -263,10 +271,14 @@ class _UnionEvaluator:
 
     def frontier(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        side_max = [_side_frontier(m, x) for m in self.sides]
-        out = np.full(x.shape, -np.inf)
-        for i, j in self.blocks:
-            np.maximum(out, np.minimum(side_max[i], side_max[j]), out=out)
+        al_grid, al_cliffs, be_grid, be_cliffs = self.sides
+        a, b = _side_frontier(al_grid, x), _side_frontier(be_grid, x)
+        out = np.minimum(a, b)
+        # each cliff family at its own binding abscissae (see the class
+        # docstring); an empty family sweeps to -inf and changes nothing
+        for cliffs, binds, other in ((al_cliffs, a < b, b), (be_cliffs, b < a, a)):
+            out[binds] = np.maximum(out[binds], np.minimum(
+                _side_frontier(cliffs, x[binds]), other[binds]))
         return out
 
     def max_sum(self) -> float:

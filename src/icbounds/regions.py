@@ -169,8 +169,8 @@ def frontier_csv(region: RateRegion) -> str:
     n = FRONTIER_SAMPLES if region.r1_max > 0 else 1
     grid = np.linspace(0.0, region.r1_max, n)
     vals = np.maximum(np.interp(grid, region.r1, region.r2), 0.0)
-    rows = [f"{x:.9g},{y:.9g}" for x, y in zip(grid, vals)]
-    return "\n".join(["r1,r2"] + rows) + "\n"
+    rows = map("%.9g,%.9g".__mod__, zip(grid.tolist(), vals.tolist()))
+    return "\n".join(["r1,r2", *rows]) + "\n"
 
 
 def from_csv(text: str) -> RateRegion:

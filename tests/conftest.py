@@ -81,6 +81,20 @@ def random_channel(rng: np.random.Generator, lo=0.1, hi=3.0) -> GaussianIC:
     return GaussianIC(*s, p1, p2, d12, d21)
 
 
+def edge_floats(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n floats in descending order for the CSV writers: 0, the least
+    subnormal, a subnormal, 1e300, decimal ties at the tenth significant
+    digit and their neighbours one ulp either side (so the ninth digit
+    rounds both ways, and 999999999|5 carries to a power of ten), then
+    log-uniform values."""
+    ties = [float(f"{m}5e{e}") for m in (123456788, 999999999, 100000000)
+            for e in (-14, -9, 0, 5)]
+    near = [np.nextafter(t, s) for t in ties for s in (0.0, np.inf)]
+    vals = np.array([0.0, 5e-324, 1e-320, 1e300, *ties, *near])
+    fill = 10.0 ** rng.uniform(-300, 300, n - vals.size)
+    return np.sort(np.concatenate([vals, fill]))[::-1]
+
+
 def oracle_system(ch) -> GaussianSystem:
     """x1, x2, the two noises and the outputs of a ``CorrelatedGaussianIC``
     as one covariance system, for ``gaussian_mi``."""

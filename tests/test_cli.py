@@ -12,7 +12,10 @@ import pytest
 from click.testing import CliRunner
 
 import icbounds
+from icbounds import GaussianIC, outer_bound, regions
 from icbounds.cli import FIGURE_PRESETS, main
+
+from conftest import edge_floats
 
 
 @pytest.fixture
@@ -807,6 +810,25 @@ def test_figure_digest_matrix(tmp_path, runner, preset, grid):
         == FIGURE_MATRIX[preset, grid]
 
 
+def test_comparison_rows_match_fstring_form_on_edge_values(tmp_path, runner, rng):
+    # the external frontier's rows sit on the comparison abscissae, so its
+    # column and the difference column hold the edge values as given
+    r1 = np.linspace(0.0, 1e300, regions.FRONTIER_SAMPLES)
+    r2 = edge_floats(rng, regions.FRONTIER_SAMPLES)
+    ext = tmp_path / "external.csv"
+    ext.write_text("r1,r2\n" + "".join(f"{x!r},{y!r}\n"
+                                        for x, y in zip(r1.tolist(), r2.tolist())))
+    res = runner.invoke(main, ["figure", "--preset", "fig2", "--grid", "2",
+                               "--out", str(tmp_path), "--compare", str(ext)])
+    assert res.exit_code == 0, res.output
+    ours = outer_bound.outer_region(GaussianIC(**FIGURE_PRESETS["fig2"]), 2).frontier_at(r1)
+    theirs = regions.from_csv(ext.read_text()).frontier_at(r1)
+    assert np.array_equal(theirs, r2)
+    want = ["r1,r2_bound,r2_external,difference"]
+    want += [f"{x:.9g},{a:.9g},{b:.9g},{b - a:.9g}" for x, a, b in zip(r1, ours, theirs)]
+    assert (tmp_path / "fig2_comparison.csv").read_text() == "\n".join(want) + "\n"
+
+
 # ------------------------------------ overflowing and malformed inputs
 
 CASCADE_OVERFLOW = cascade_doc("gaussian-6", 2.0, 1.0, 1.0, 1e200)
@@ -821,6 +843,9 @@ POWER_OVERFLOW = gaussian_doc(s11=1e150, s12=0.0, s21=2e150, s22=1.0, p1=1e100,
 # first product `_squares` checks, (x1 + 1)(x2 + 1) of k13 and k14
 PRODUCT_OVERFLOW = gaussian_doc(s11=1e70, s12=1e70, s21=2e70, s22=3e70, p1=1e20,
                                 p2=1e20, d12=0.1, d21=0.0)
+# x2^2 = 1e320 overflows, but no product the bound forms does: it runs
+S22_HUGE = gaussian_doc(s11=1.0, s12=0.0, s21=1.0, s22=1e80, p1=1.0, p2=1.0,
+                        d12=0.1, d21=0.2)
 # squared gains that fit, a received power of one user that does not:
 # s11^2 p1 in the first, s22^2 p2 in the second
 R1_POWER_OVERFLOW = gaussian_doc(s11=1e150, s12=0.0, s21=1e150, s22=1.0, p1=1e10,
@@ -963,6 +988,16 @@ def test_rogue_inputs_exit_cleanly(tmp_path, runner, case):
         doc = json.loads(res.stdout)
         # the budget exceeds the rate: each of the 2 messages is its own cell
         assert (doc["cell_count"], doc["per_cell"], doc["trials"]) == (2, 1, 5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid", [5, 11, 201])
+def test_outer_runs_where_received_powers_fit(tmp_path, runner, grid):
+    path = write_json(tmp_path / "in.json", S22_HUGE)
+    res = runner.invoke(main, ["outer", "--grid", str(grid), "--channel", path,
+                               "--out", str(tmp_path / "out.csv")])
+    assert res.exit_code == 0, res.output
+    assert "max sum rate 266.054248 bits/use" in res.output
 
 
 @pytest.mark.parametrize("doc", [

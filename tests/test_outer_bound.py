@@ -268,8 +268,24 @@ def test_evaluator_matches_flat_oracle_presets(ch, grid_n, rng):
 
 
 def test_evaluator_matches_flat_oracle_random_and_edge(rng):
-    for ch in [random_channel(rng) for _ in range(20)] + EDGE_CHANNELS:
-        _assert_matches_oracle(ch, 11, rng)
+    # each cliff family is swept only at its own binding columns; sweeping
+    # it at the other family's columns instead must miss a raised value
+    swapped = _mutant(ob._UnionEvaluator.frontier,
+                      "((al_cliffs, a < b, b), (be_cliffs, b < a, a))",
+                      "((al_cliffs, b < a, b), (be_cliffs, a < b, a))")
+    chans = [random_channel(rng) for _ in range(200)] + EDGE_CHANNELS
+    for grid_n in (2, 5, 11):
+        mutant_caught = False
+        for ch in chans:
+            want = FlatUnionOracle(ch, grid_n)
+            ev = ob._UnionEvaluator(ch, grid_n)
+            assert ev.r1_cap == want.r1_cap
+            xs = _oracle_abscissae(want.r1_cap, rng)
+            front = want.frontier(xs)
+            assert np.array_equal(ev.frontier(xs), front)
+            assert ev.max_sum() == want.max_sum()
+            mutant_caught |= not np.array_equal(swapped(ev, xs), front)
+        assert mutant_caught, grid_n
 
 
 def test_rhs_entries_depend_on_one_parameter(rng):
@@ -335,21 +351,23 @@ def test_side_bounds_write_each_psi_term_once():
     assert len(set(args)) == len(args), "a psi term is written twice"
 
 
-def _side_bounds_with(old, new):
-    """``_side_bounds`` compiled from its source with ``old`` replaced by ``new``."""
-    src = textwrap.dedent(inspect.getsource(ob._side_bounds))
+def _mutant(fn, old, new):
+    """``fn`` of ``outer_bound`` compiled from its source with ``old``
+    replaced by ``new``."""
+    src = textwrap.dedent(inspect.getsource(fn))
     assert src.count(old) == 1
     namespace = dict(vars(ob))
     exec(src.replace(old, new), namespace)
-    return namespace["_side_bounds"]
+    return namespace[fn.__name__]
 
 
 def test_evaluator_rejects_mixed_parameter_rhs(monkeypatch):
     ob._UnionEvaluator(FIG2, 5)
     mutants = [
-        _side_bounds_with("least((k12, k14, k16))",
-                          "least((k12, k14, k16, k7))"),  # beta into alpha
-        _side_bounds_with("least((k11, k13))", "least((k11, k13, k4))"),  # alpha into beta
+        _mutant(ob._side_bounds, "least((k12, k14, k16))",
+                "least((k12, k14, k16, k7))"),  # beta into alpha
+        _mutant(ob._side_bounds, "least((k11, k13))",
+                "least((k11, k13, k4))"),  # alpha into beta
     ]
     for mutant in mutants:
         monkeypatch.setattr(ob, "_side_bounds", mutant)
@@ -525,7 +543,8 @@ def test_frontier_over_chunks_is_bit_equal(ch, rng, monkeypatch):
     want = oracle.frontier(xs)
     ev = ob._UnionEvaluator(ch, 21)
     # one column per chunk (1 and 1000 cells at 712 abscissae), then 46
-    # columns, so that the last chunk of a 256-column cliff side is partial
+    # columns on a grid side; a cliff side is swept at its binding
+    # abscissae only, so its chunks are wider and the last one is partial
     for budget in (1, 1000, 1 << 15):
         monkeypatch.setattr(regions, "SWEEP_CELLS", budget)
         assert np.array_equal(ev.frontier(xs), want)

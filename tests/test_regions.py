@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from icbounds import RateRegion, convex_hull, from_csv, frontier_csv
 from icbounds.errors import InputError
-from icbounds.regions import hull_of_points, pentagon_vertices
+from icbounds.regions import FRONTIER_SAMPLES, hull_of_points, pentagon_vertices
 
+from conftest import edge_floats
 from reference import (
     RateConstraint,
     UnboundedRegionError,
@@ -136,6 +137,31 @@ def test_csv_point_region():
     from icbounds.regions import point_region
 
     assert frontier_csv(point_region()) == "r1,r2\n0,0\n"
+
+
+def _fstring_csv(region: RateRegion) -> str:
+    """``frontier_csv`` with each row formatted from numpy scalars by an
+    f-string, the reference for its bytes."""
+    n = FRONTIER_SAMPLES if region.r1_max > 0 else 1
+    grid = np.linspace(0.0, region.r1_max, n)
+    vals = np.maximum(np.interp(grid, region.r1, region.r2), 0.0)
+    return "".join(["r1,r2\n"] + [f"{x:.9g},{y:.9g}\n" for x, y in zip(grid, vals)])
+
+
+def test_csv_bytes_match_fstring_form_on_edge_values(rng):
+    r2 = edge_floats(rng, FRONTIER_SAMPLES)
+    for r1_max in (1.0, 5e-324, 1e-320, 1e300, 1.2345678850000001):
+        # at the CSV's own abscissae the interpolation returns r2 as given
+        region = RateRegion(np.linspace(0.0, r1_max, FRONTIER_SAMPLES), r2)
+        text = frontier_csv(region)
+        assert text == _fstring_csv(region)
+        if r1_max == 1.0:
+            for v in ("0", "4.94065646e-324", "1e+300", "0.0001", "1e+10"):
+                assert f",{v}\n" in text
+    for v in r2[::37]:  # one-row regions, r1_max == 0
+        region = RateRegion([0.0], [v])
+        assert frontier_csv(region) == _fstring_csv(region)
+        assert frontier_csv(region).count("\n") == 2
 
 
 def test_csv_validation():
