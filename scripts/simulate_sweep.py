@@ -15,11 +15,11 @@ import numpy as np
 from icbounds import DiscreteIC, SimConfig, inner_region_strong, simulate
 
 
-def demo_channel() -> DiscreteIC:
+def demo_channel(d12: float) -> DiscreteIC:
     w = np.zeros((2, 2, 2, 2))
     for x1, x2 in itertools.product(range(2), repeat=2):
         w[x1 ^ x2, x1, x1, x2] = 1.0
-    return DiscreteIC(w)
+    return DiscreteIC(w, d12=d12)
 
 
 def diagonal_frontier_point(region) -> float:
@@ -43,15 +43,14 @@ def main():
     ap.add_argument("--blocklengths", type=int, nargs="+", default=[4, 8, 12])
     args = ap.parse_args()
 
-    ch = demo_channel()
-    region = inner_region_strong(ch, args.d12, grid=11)
+    ch = demo_channel(args.d12)
+    region = inner_region_strong(ch, grid=11)
     t_star = diagonal_frontier_point(region)
     rate = args.fraction * t_star
     print(f"frontier diagonal point {t_star:.4f}, operating at rate {rate:.4f}")
     for n in args.blocklengths:
-        res = simulate(SimConfig(ch, n=n, r1=rate, r2=rate, d12=args.d12,
-                                 scheme="thm2", trials=args.trials,
-                                 seed=args.seed))
+        res = simulate(SimConfig(ch, n=n, r1=rate, r2=rate, scheme="thm2",
+                                 trials=args.trials, seed=args.seed))
         print(f"n={n:3d}: err1={res.err1:.4f}±{res.err1_ci95:.4f}  "
               f"err2={res.err2:.4f}±{res.err2_ci95:.4f}  "
               f"effective rates {res.effective_rates[0]:.3f}/"

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -205,8 +205,7 @@ def cmd_figure(preset: str, out_dir: str, grid: int, compare_path: str | None):
     hull = regions.convex_hull(region)
     (out / f"{preset}_bound_hull.csv").write_text(regions.frontier_csv(hull))
     if compare_path is not None:
-        grid_r1 = np.linspace(0.0, max(region.r1_max, other.r1_max),
-                              regions.FRONTIER_SAMPLES)
+        grid_r1 = regions.frontier_abscissae(max(region.r1_max, other.r1_max))
         ours = region.frontier_at(grid_r1)
         theirs = other.frontier_at(grid_r1)
         lines = ["r1,r2_bound,r2_external,difference"]
@@ -249,7 +248,7 @@ def cmd_inner(channel_path: str, theorem: str, out_path: str | None,
     ch = load_channel(channel_path)
     if theorem in ("2", "5") and isinstance(ch, dsc.DiscreteIC):
         inner = dsc.inner_region_strong if theorem == "2" else dsc.inner_region_one_sided
-        result = inner(ch, ch.d12, grid=grid)
+        result = inner(ch, grid=grid)
     elif theorem == "5":
         if not isinstance(ch, GaussianIC):
             raise InputError("theorem 5 needs a one-sided 'gaussian' or discrete spec")
@@ -306,11 +305,11 @@ def cmd_simulate(config_path: str):
     except InputError as exc:
         raise InputError(f"fields 'p1' and 'p2' are input PMFs: {exc}") from None
     cfg = sim.SimConfig(
-        channel=channel,
         n=_int_field(doc, "n"),
         r1=_float_field(doc, "r1"),
         r2=_float_field(doc, "r2"),
-        d12=_float_field(doc, "d12", 0.0),
+        # a top-level d12 overrides the channel's own
+        channel=replace(channel, d12=_float_field(doc, "d12", channel.d12)),
         scheme=str(doc.get("scheme", "thm2")),
         trials=_int_field(doc, "trials", 1000),
         seed=_int_field(doc, "seed", 0),

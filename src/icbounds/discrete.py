@@ -344,11 +344,11 @@ def check_condition(
 # achievable inner regions
 
 
-def _inner_region(ch: DiscreteIC, d12: float, grid: int,
-                  one_sided: bool) -> RateRegion:
+def _inner_region(ch: DiscreteIC, grid: int, one_sided: bool) -> RateRegion:
     """Convex hull of the union over a product-input lattice of the
     pentagons R1 <= r1, R2 <= r2, R1 + R2 <= s, each entering through its
-    frontier vertices (``regions.pentagon_vertices``)."""
+    frontier vertices (``regions.pentagon_vertices``), with the channel's
+    conference budget d12."""
     if grid < 2:
         raise InputError("grid must be at least 2")
     lat1 = simplex_grid(ch.nx1, grid)
@@ -360,27 +360,27 @@ def _inner_region(ch: DiscreteIC, d12: float, grid: int,
         r2 = _given_x1(lat1, lat2, w2, h2)
     else:
         r1 = _given_x2(lat1, lat2, w1, h1)
-        r2 = np.minimum(_given_x1(lat1, lat2, w2, h2) + d12,
+        r2 = np.minimum(_given_x1(lat1, lat2, w2, h2) + ch.d12,
                         _given_x1(lat1, lat2, w1, h1))
     outputs = [(w2, h2)] if one_sided else [(w2, h2), (w1, h1)]
     both = _by_blocks(len(lat1), len(lat2) * ch.nx1 * ch.nx2 * (ch.ny1 + ch.ny2),
                       lambda idx: np.stack([_both(lat1[idx], lat2, w, h).reshape(-1)
                                             for w, h in outputs]))
-    s = both[0] + d12 if one_sided else np.minimum(both[0] + d12, both[1])
+    s = both[0] + ch.d12 if one_sided else np.minimum(both[0] + ch.d12, both[1])
     return hull_of_points(pentagon_vertices(r1.reshape(-1), r2.reshape(-1), s))
 
 
-def inner_region_strong(ch: DiscreteIC, d12: float, grid: int = 21) -> RateRegion:
+def inner_region_strong(ch: DiscreteIC, grid: int = 21) -> RateRegion:
     """Achievable region when both receivers decode both messages.
 
     Union over a product-input lattice of the per-input polytopes, then
     convex hull (time sharing).
     """
-    return _inner_region(ch, d12, grid, one_sided=False)
+    return _inner_region(ch, grid, one_sided=False)
 
 
-def inner_region_one_sided(ch: DiscreteIC, d12: float, grid: int = 21) -> RateRegion:
+def inner_region_one_sided(ch: DiscreteIC, grid: int = 21) -> RateRegion:
     """Achievable (capacity) region of the one-sided channel."""
     if not one_sided_factorization(ch):
         raise ChannelShapeError("channel is not one-sided")
-    return _inner_region(ch, d12, grid, one_sided=True)
+    return _inner_region(ch, grid, one_sided=True)

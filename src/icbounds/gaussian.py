@@ -19,6 +19,10 @@ import numpy as np
 
 from .errors import InputError
 
+# the error text when a received power s^2 p, or a sum of them, overflows
+POWER_OVERFLOW = ("received powers overflow: the gains or powers are too large "
+                  "for floating point")
+
 
 def psi(x):
     """Gaussian point-to-point capacity 0.5*log2(1 + x) for SNR x >= 0."""

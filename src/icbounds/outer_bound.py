@@ -28,8 +28,8 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .gaussian import GaussianIC, psi
-from .regions import FRONTIER_SAMPLES, RateRegion, chunks
+from .gaussian import POWER_OVERFLOW, GaussianIC, psi
+from .regions import RateRegion, chunks, frontier_abscissae
 
 DEFAULT_GRID = 201
 
@@ -51,8 +51,7 @@ def _squares(ch: GaussianIC) -> tuple[float, float, float, float, float]:
     a, b, c, d, det2 = sq
     x1, x2 = (a + c) * ch.p1, (b + d) * ch.p2
     if not (math.isfinite(x1) and math.isfinite(x2)):
-        raise InputError("received powers overflow: the gains or powers are too "
-                         "large for floating point")
+        raise InputError(POWER_OVERFLOW)
     products = (
         (x1 + 1) * (x2 + 1),       # be_k13's and al_k14's denominators
         x1 + x2 + det2 * ch.p1 * ch.p2,  # y12's SNR, which bounds gt1's and gt2's
@@ -341,10 +340,9 @@ def _evaluator(ch: GaussianIC, grid_n: int) -> _UnionEvaluator:
 def outer_region(ch: GaussianIC, grid_n: int = DEFAULT_GRID) -> RateRegion:
     """Union of the per-parameter polytopes over grid_n warped values per
     axis plus the two cliff families, in three product blocks, sampled on
-    the CSV grid: FRONTIER_SAMPLES even abscissae up to r1_cap (all at 0,
-    the bound's largest R2, when r1_cap is 0)."""
+    the CSV grid up to r1_cap (``regions.frontier_abscissae``)."""
     ev = _evaluator(ch, grid_n)
-    grid = np.linspace(0.0, ev.r1_cap, FRONTIER_SAMPLES)
+    grid = frontier_abscissae(ev.r1_cap)
     return RateRegion(grid, ev.frontier(grid), frontier_fn=ev.frontier)
 
 

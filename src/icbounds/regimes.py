@@ -7,12 +7,12 @@ conference link is receiver 2, budget d12) admit exact capacity statements:
 * kind "gaussian-13": y1 = s11*x1 + s12*y2 + z1  (receiver 1 hears y2),
 
 plus the one-sided channel (s12 = 0).  A :class:`CorrelatedGaussianIC` holds
-a cascade channel as its own parameters (kind, four gains, two powers, d12)
-and derives the correlated-noise form y = H x + n from them.  Each evaluator
-computes its region or sum rate with independent full-power Gaussian inputs.
-Every mutual information it needs involves one output alone, so each is psi
-of a ratio of received powers and noise variances, and every region is one
-pentagon.  :func:`classify` is the one place that computes a regime
+a cascade channel as its own parameters (kind, four gains, two powers, d12).
+Each evaluator computes its region or sum rate with independent full-power
+Gaussian inputs.  Every mutual information it needs involves one output
+alone, so each is psi of a ratio of received powers and noise variances,
+which :func:`_received` writes straight from the gains, and every region is
+one pentagon.  :func:`classify` is the one place that computes a regime
 threshold; every evaluator's regime gate asks it.
 """
 
@@ -21,31 +21,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (
     ChannelShapeError,
     InputError,
     RegimeViolationError,
     UndefinedThresholdError,
 )
-from .gaussian import GaussianIC, psi
+from .gaussian import POWER_OVERFLOW, GaussianIC, psi
 from .regions import RateRegion, pentagon_vertices
 
 REGIME_TOL = 1e-9
-_OVERFLOW = ("received powers overflow: the gains or powers are too large "
-             "for floating point")
 
 
 @dataclass(frozen=True)
 class CorrelatedGaussianIC:
     """A cascade channel of kind "gaussian-6" or "gaussian-13", held as its
-    four gains, two powers and conference budget d12.
-
-    Substituting the cascade output gives the correlated-noise form
-    y = H x + n, x independent zero-mean with powers p1, p2: ``gain`` is H
-    and ``noise_cov`` the covariance of n, both computed from the gains.
-    """
+    four gains, two powers and conference budget d12."""
 
     kind: str
     s11: float
@@ -67,19 +58,6 @@ class CorrelatedGaussianIC:
     @property
     def gains(self) -> tuple[float, float, float, float]:
         return self.s11, self.s12, self.s21, self.s22
-
-    @property
-    def gain(self) -> np.ndarray:
-        s11, s12, s21, s22 = self.gains
-        if self.kind == "gaussian-6":
-            return np.array([[s11, s12], [s21 + s22 * s11, s22 * s12]])
-        return np.array([[s11 + s12 * s21, s12 * s22], [s21, s22]])
-
-    @property
-    def noise_cov(self) -> np.ndarray:
-        if self.kind == "gaussian-6":
-            return np.array([[1.0, self.s22], [self.s22, self.s22 * self.s22 + 1.0]])
-        return np.array([[self.s12 * self.s12 + 1.0, self.s12], [self.s12, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -153,18 +131,25 @@ def _received(ch: CorrelatedGaussianIC, kind: str, want: str,
               force: bool) -> tuple[float, ...]:
     """(a1, b1, n1, a2, b2, n2) of a ``kind`` channel that passes the
     ``want`` gate: the received powers of x1 and x2 and the noise variance
-    at y1, then the same at y2, at full power.  Raises when one overflows,
-    so every signal-to-noise ratio formed from them is finite."""
+    at y1, then the same at y2, at full power.  Substituting the cascade
+    output gives y_i = h_i1 x1 + h_i2 x2 + n_i, with the gains h and noise
+    variances below.  Raises when one overflows, so every signal-to-noise
+    ratio formed from them is finite."""
     if ch.kind != kind:
         raise ChannelShapeError(f"the {want} evaluators apply to {kind} channels")
     _require(kind, ch.gains, want, force)
-    (h11, h12), (h21, h22) = ch.gain.tolist()
-    n1, n2 = ch.noise_cov.diagonal().tolist()
+    s11, s12, s21, s22 = map(float, ch.gains)
     p1, p2 = float(ch.p1), float(ch.p2)
+    if kind == "gaussian-6":  # y2 = s21 x1 + s22 (s11 x1 + s12 x2 + z1) + z2
+        h11, h12, n1 = s11, s12, 1.0
+        h21, h22, n2 = s21 + s22 * s11, s22 * s12, s22 * s22 + 1.0
+    else:  # y1 = s11 x1 + s12 (s21 x1 + s22 x2 + z2) + z1
+        h11, h12, n1 = s11 + s12 * s21, s12 * s22, s12 * s12 + 1.0
+        h21, h22, n2 = s21, s22, 1.0
     a1, b1 = h11 * h11 * p1, h12 * h12 * p2
     a2, b2 = h21 * h21 * p1, h22 * h22 * p2
     if not all(map(math.isfinite, (n1, n2, (a1 + b1) / n1, (a2 + b2) / n2))):
-        raise InputError(_OVERFLOW)
+        raise InputError(POWER_OVERFLOW)
     return a1, b1, n1, a2, b2, n2
 
 
@@ -217,7 +202,7 @@ def capacity_region_one_sided(ch: GaussianIC, force: bool = False) -> RateRegion
     try:
         a, b, c = ch.s11**2 * ch.p1, ch.s22**2 * ch.p2, ch.s21**2 * ch.p1
     except OverflowError:
-        raise InputError(_OVERFLOW) from None
+        raise InputError(POWER_OVERFLOW) from None
     if not all(map(math.isfinite, (a, b, c + b))):
-        raise InputError(_OVERFLOW)
+        raise InputError(POWER_OVERFLOW)
     return RateRegion(*pentagon_vertices(psi(a), psi(b), psi(c + b) + ch.d12).T)

@@ -162,12 +162,17 @@ def convex_hull(region: RateRegion) -> RateRegion:
     return hull_of_points(pts)
 
 
+def frontier_abscissae(r1_max: float) -> np.ndarray:
+    """The CSV grid: FRONTIER_SAMPLES even abscissae over [0, r1_max], or
+    the one abscissa 0 when r1_max is 0."""
+    return np.linspace(0.0, r1_max, FRONTIER_SAMPLES if r1_max > 0 else 1)
+
+
 def frontier_csv(region: RateRegion) -> str:
-    """CSV text: header, then the frontier at FRONTIER_SAMPLES even abscissae
-    over [0, r1_max] to 9 significant digits, interpolated from the region's
-    own samples (``outer_region`` samples exactly this grid)."""
-    n = FRONTIER_SAMPLES if region.r1_max > 0 else 1
-    grid = np.linspace(0.0, region.r1_max, n)
+    """CSV text: header, then the frontier on ``frontier_abscissae`` to 9
+    significant digits, interpolated from the region's own samples
+    (``outer_region`` samples exactly this grid)."""
+    grid = frontier_abscissae(region.r1_max)
     vals = np.maximum(np.interp(grid, region.r1, region.r2), 0.0)
     rows = map("%.9g,%.9g".__mod__, zip(grid.tolist(), vals.tolist()))
     return "\n".join(["r1,r2", *rows]) + "\n"

@@ -1,8 +1,9 @@
 """Desk-scale Monte Carlo simulation of the cell-partition conferencing schemes.
 
 Two schemes over a discrete memoryless channel, one conference round from
-receiver 1 to receiver 2 with budget d12.  They differ only in receiver 1's
-decoder and in which of its estimates it forwards, as a cell index:
+receiver 1 to receiver 2 with the channel's budget ``d12``.  They differ
+only in receiver 1's decoder and in which of its estimates it forwards, as
+a cell index:
 
 * "thm2": receiver 1 jointly ML-decodes both messages and forwards the cell
   of its estimate of message 2.
@@ -75,7 +76,6 @@ class SimConfig:
     n: int
     r1: float
     r2: float
-    d12: float
     scheme: str = "thm2"
     trials: int = 1000
     seed: int = 0
@@ -86,10 +86,10 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 1:
             raise InputError("blocklength must be positive")
-        if self.r1 < 0 or self.r2 < 0 or self.d12 < 0:
-            raise InputError("rates and conference capacity must be nonnegative")
-        if not all(map(math.isfinite, (self.r1, self.r2, self.d12))):
-            raise InputError("rates and conference capacity must be finite")
+        if self.r1 < 0 or self.r2 < 0:
+            raise InputError("rates must be nonnegative")
+        if not (math.isfinite(self.r1) and math.isfinite(self.r2)):
+            raise InputError("rates must be finite")
         if self.scheme not in ("thm2", "thm4"):
             raise InputError(f"unknown scheme {self.scheme!r}")
         if self.trials < 1:
@@ -157,11 +157,11 @@ class _Precomp:
         self.m1, self.m2 = m1, m2
         # the message whose cell the conference carries: m2 (thm2) or m1 (thm4)
         self.fwd = 1 if cfg.scheme == "thm2" else 0
-        self.part = CellPartition.for_rate(cfg.n, (cfg.r1, cfg.r2)[self.fwd],
-                                           cfg.d12)
+        d12 = cfg.channel.d12
+        self.part = CellPartition.for_rate(cfg.n, (cfg.r1, cfg.r2)[self.fwd], d12)
         # Only the estimate of the partitioned message is forwarded; its
         # alphabet is the cell count, which meets the budget by construction.
-        assert math.log2(self.part.cell_count) <= cfg.n * cfg.d12 + 1e-9
+        assert math.log2(self.part.cell_count) <= cfg.n * d12 + 1e-9
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:

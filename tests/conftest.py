@@ -27,7 +27,7 @@ from icbounds import discrete as dsc
 from icbounds import outer_bound as ob
 from icbounds.regions import hull_of_points
 
-from reference import GaussianSystem, RateConstraint, from_constraints, mi, rhs_reference
+from reference import RateConstraint, from_constraints, mi, rhs_reference
 
 
 def brute_entropy(joint: np.ndarray, axes: tuple, names: tuple) -> float:
@@ -52,12 +52,12 @@ def h2(p: float) -> float:
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
-def xor_copy_channel() -> DiscreteIC:
+def xor_copy_channel(d12: float = 0.0) -> DiscreteIC:
     """y1 = x1 xor x2 (noiseless), y2 = x1: passes the strong-regime check."""
     w = np.zeros((2, 2, 2, 2))
     for x1, x2 in itertools.product(range(2), repeat=2):
         w[x1 ^ x2, x1, x1, x2] = 1.0
-    return DiscreteIC(w)
+    return DiscreteIC(w, d12=d12)
 
 
 def orthogonal_channel(d12: float = 0.0, d21: float = 0.0) -> DiscreteIC:
@@ -95,20 +95,6 @@ def edge_floats(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.sort(np.concatenate([vals, fill]))[::-1]
 
 
-def oracle_system(ch) -> GaussianSystem:
-    """x1, x2, the two noises and the outputs of a ``CorrelatedGaussianIC``
-    as one covariance system, for ``gaussian_mi``."""
-    cov = np.zeros((4, 4))
-    cov[0, 0], cov[1, 1] = ch.p1, ch.p2
-    cov[2:, 2:] = ch.noise_cov
-    base = GaussianSystem(("x1", "x2", "n1", "n2"), cov)
-    h = ch.gain
-    return base.extend_many({
-        "y1": {"x1": h[0, 0], "x2": h[0, 1], "n1": 1.0},
-        "y2": {"x1": h[1, 0], "x2": h[1, 1], "n2": 1.0},
-    })
-
-
 class FlatUnionOracle:
     """The union outer bound as a 2-D sweep over every (alpha, beta) cell.
 
@@ -116,7 +102,9 @@ class FlatUnionOracle:
     and the cliff families, in three product blocks), the 16 right-hand
     sides of ``rhs_reference`` and the library's per-cell sum-rate
     formula, but flattens the blocks into one cell table and maximizes over
-    it cell by cell, with no use of separability.
+    it cell by cell, with no use of separability.  The table is held with
+    the largest R1 bound m10 first, so the cells an abscissa x reaches
+    (m10 >= x) are a prefix of it.
     """
 
     def __init__(self, ch: GaussianIC, grid_n: int):
@@ -129,26 +117,37 @@ class FlatUnionOracle:
         betas = np.concatenate([np.tile(b, a.size) for a, b in blocks])
         rhs = rhs_reference(ch, alphas, betas)
         flat = [np.broadcast_to(r, alphas.shape).reshape(-1) for r in rhs]
-        self.m10 = np.minimum(flat[0], flat[1])
-        self.m01 = np.minimum(flat[2], flat[3])
-        self.m11 = np.minimum.reduce(flat[4:10])
-        self.m21 = np.minimum.reduce([flat[10], flat[12], flat[14]])
-        self.m12 = np.minimum.reduce([flat[11], flat[13], flat[15]])
+        m10 = np.minimum(flat[0], flat[1])
+        order = np.argsort(-m10, kind="stable")
+        self.m10 = m10[order]
+        self.m01 = np.minimum(flat[2], flat[3])[order]
+        self.m11 = np.minimum.reduce(flat[4:10])[order]
+        self.m21 = np.minimum.reduce([flat[10], flat[12], flat[14]])[order]
+        self.m12 = np.minimum.reduce([flat[11], flat[13], flat[15]])[order]
         self.r1_cap = float(np.max(np.minimum.reduce(
             [self.m10, self.m11, self.m21 / 2.0, self.m12])))
 
     def frontier(self, x: np.ndarray) -> np.ndarray:
+        """Each abscissa against every cell it reaches (-inf if none), a
+        block of abscissae at a time: a block's rows run along the cells
+        and hold about 32k cells in all, so its temporaries stay near
+        cache size."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        reach = np.searchsorted(-self.m10, -x, side="right")  # cells m10 >= x
         out = np.full(x.shape, -np.inf)
-        chunk = max(1, int(2_000_000 // max(x.size, 1)))
-        for lo in range(0, self.m10.size, chunk):
-            hi = lo + chunk
-            f = self.m11[lo:hi, None] - x[None, :]
-            np.minimum(f, self.m01[lo:hi, None], out=f)
-            np.minimum(f, self.m21[lo:hi, None] - 2.0 * x[None, :], out=f)
-            np.minimum(f, (self.m12[lo:hi, None] - x[None, :]) / 2.0, out=f)
-            f[self.m10[lo:hi, None] < x[None, :]] = -np.inf
-            np.maximum(out, f.max(axis=0), out=out)
+        step = max(1, (1 << 15) // self.m10.size)
+        for lo in range(0, x.size, step):
+            rows, k = slice(lo, lo + step), reach[lo:lo + step].max()
+            if k == 0:
+                continue
+            xs = x[rows, None]
+            f = self.m11[:k] - xs
+            np.minimum(f, self.m01[:k], out=f)
+            np.minimum(f, self.m21[:k] - 2.0 * xs, out=f)
+            np.minimum(f, (self.m12[:k] - xs) / 2.0, out=f)
+            for row, r in zip(f, reach[rows]):
+                row[r:] = -np.inf
+            out[rows] = f.max(axis=1)
         return out
 
     def max_sum(self) -> float:
@@ -259,16 +258,17 @@ class PointwiseSearchOracle:
                     best = (g, p1, p2, kernel)
         return best
 
-    def inner_region(self, d12: float, grid: int, one_sided: bool):
+    def inner_region(self, grid: int, one_sided: bool):
         pts = []
         for p1 in dsc.simplex_grid(self.ch.nx1, grid):
             for p2 in dsc.simplex_grid(self.ch.nx2, grid):
-                reg = from_constraints(self.pentagon(p1, p2, d12, one_sided))
+                reg = from_constraints(self.pentagon(p1, p2, one_sided))
                 pts.extend(zip(reg.r1, reg.r2))
         return hull_of_points(np.array(pts))
 
-    def pentagon(self, p1, p2, d12: float, one_sided: bool) -> list:
+    def pentagon(self, p1, p2, one_sided: bool) -> list:
         j = self._joint(p1, p2)
+        d12 = self.ch.d12
 
         def f(a, b, c=()):
             return mi(j, self.AXES, a, b, c)

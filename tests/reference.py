@@ -32,7 +32,7 @@ from icbounds.discrete import NORM_TOL, DiscreteIC
 from icbounds.errors import InputError
 from icbounds.gaussian import GaussianIC, psi
 from icbounds.outer_bound import _squares
-from icbounds.regions import FRONTIER_SAMPLES, RateRegion, point_region
+from icbounds.regions import RateRegion, frontier_abscissae, point_region
 from icbounds.sim import (_DEDUP_PASSES, SimConfig, _pair_loglik, _Precomp,
                           _transmit, _trial_rng)
 
@@ -146,6 +146,33 @@ def build_system(ch: GaussianIC) -> GaussianSystem:
         "y1": {"x1": ch.s11, "x2": ch.s12, "z1": 1.0},
         "y2": {"x1": ch.s21, "x2": ch.s22, "z2": 1.0},
     })
+
+
+def cascade_system(ch) -> GaussianSystem:
+    """x1, x2 at full power, two unit noises and the outputs of a
+    ``CorrelatedGaussianIC``, each output adjoined as its kind's equation
+    reads: gaussian-6's y2 hears y1, gaussian-13's y1 hears y2."""
+    base = independent_system(("x1", "x2", "z1", "z2"), (ch.p1, ch.p2, 1.0, 1.0))
+    if ch.kind == "gaussian-6":
+        return base.extend_many({
+            "y1": {"x1": ch.s11, "x2": ch.s12, "z1": 1.0},
+            "y2": {"x1": ch.s21, "y1": ch.s22, "z2": 1.0},
+        })
+    return base.extend_many({
+        "y2": {"x1": ch.s21, "x2": ch.s22, "z2": 1.0},
+        "y1": {"x1": ch.s11, "y2": ch.s12, "z1": 1.0},
+    })
+
+
+def cascade_form(ch) -> tuple[np.ndarray, np.ndarray]:
+    """The correlated-noise form y = H x + n of a ``CorrelatedGaussianIC``:
+    (H, the covariance of n), written out from the cascade's equations."""
+    s11, s12, s21, s22 = ch.s11, ch.s12, ch.s21, ch.s22
+    if ch.kind == "gaussian-6":
+        return (np.array([[s11, s12], [s21 + s22 * s11, s22 * s12]]),
+                np.array([[1.0, s22], [s22, s22 * s22 + 1.0]]))
+    return (np.array([[s11 + s12 * s21, s12 * s22], [s21, s22]]),
+            np.array([[s12 * s12 + 1.0, s12], [s12, 1.0]]))
 
 
 def _logdet(mat: np.ndarray, what: str) -> float:
@@ -384,25 +411,28 @@ def hull_of_points_loop(points) -> RateRegion:
     return RateRegion(arr[:, 0], np.minimum.accumulate(arr[:, 1]))
 
 
-def includes(a: RateRegion, b: RateRegion, tol: float = 1e-6) -> bool:
-    """True when every frontier sample of b lies inside a, within tol."""
-    if b.r1_max > a.r1_max + tol:
+def includes(a: RateRegion, b: RateRegion, tol: float = 1e-6,
+             htol: float = 0.0) -> bool:
+    """True when every frontier sample of b lies inside a, within tol in R2
+    once moved htol left in R1 (so two vertical drops htol apart match)."""
+    if b.r1_max - htol > a.r1_max + tol:
         return False
-    xs = np.union1d(b.r1, np.linspace(0.0, b.r1_max, FRONTIER_SAMPLES))
+    xs = np.union1d(b.r1, frontier_abscissae(b.r1_max))
     fb = b.frontier_at(xs)
-    fa = a.frontier_at(np.minimum(xs, a.r1_max))
+    fa = a.frontier_at(np.minimum(np.maximum(xs - htol, 0.0), a.r1_max))
     return bool(np.all(fb <= fa + tol))
 
 
-def gap(a: RateRegion, b: RateRegion) -> float:
-    """Signed max frontier difference a - b on a shared r1 grid.
+def gap(a: RateRegion, b: RateRegion, htol: float = 0.0) -> float:
+    """Signed max frontier difference a - b on a shared r1 grid, each
+    sample of a against b htol to its left.
 
     Frontiers count as 0 beyond a region's extent, so the value is positive
     exactly when a pokes above (or beyond) b somewhere.
     """
-    hi = max(a.r1_max, b.r1_max)
-    grid = np.linspace(0.0, hi, FRONTIER_SAMPLES) if hi > 0 else np.array([0.0])
-    return float(np.max(a.frontier_at(grid) - b.frontier_at(grid)))
+    grid = frontier_abscissae(max(a.r1_max, b.r1_max))
+    return float(np.max(a.frontier_at(grid)
+                        - b.frontier_at(np.maximum(grid - htol, 0.0))))
 
 
 def vertices(region: RateRegion) -> np.ndarray:

@@ -205,11 +205,10 @@ def test_c08_discrete_oracle_equivalence(report):
 
 def test_c09_simulator_achievability_trend(report):
     start = time.perf_counter()
-    ch = xor_copy_channel()
-    d12 = 0.25 / 0.7
+    ch = xor_copy_channel(d12=0.25 / 0.7)
     rep = check_condition(ch, 4, grid=11)
     assert rep.holds_on_searched_family and rep.markov_ok
-    region = inner_region_strong(ch, d12, grid=11)
+    region = inner_region_strong(ch, grid=11)
     lo, hi = 0.0, region.r1_max
     for _ in range(60):  # diagonal frontier crossing to machine precision
         mid = 0.5 * (lo + hi)
@@ -221,14 +220,14 @@ def test_c09_simulator_achievability_trend(report):
     results = []
     for n in (4, 8, 12):
         results.append(simulate(SimConfig(
-            ch, n=n, r1=0.7 * t_star, r2=0.7 * t_star, d12=d12,
+            ch, n=n, r1=0.7 * t_star, r2=0.7 * t_star,
             scheme="thm2", trials=10_000, seed=42)))
     trend_ok = all(
         b.err1 <= a.err1 + a.err1_ci95 + b.err1_ci95
         and b.err2 <= a.err2 + a.err2_ci95 + b.err2_ci95
         for a, b in zip(results, results[1:]))
     over = simulate(SimConfig(ch, n=12, r1=1.3 * t_star, r2=1.3 * t_star,
-                              d12=d12, scheme="thm2", trials=10_000, seed=42))
+                              scheme="thm2", trials=10_000, seed=42))
     overload_ok = max(over.err1, over.err2) >= 0.2
     elapsed = time.perf_counter() - start
     errs = ", ".join(f"{r.err1:.4f}" for r in results)

@@ -1,7 +1,9 @@
 """The package's public surface, and its independence from the test code."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -49,8 +51,37 @@ def test_removed_members_stay_removed():
     for cls, names in ((icbounds.RateRegion, ("tag", "vertices", "contains",
                                               "is_point")),
                        (icbounds.DiscreteIC, ("from_json_dict", "to_json_dict")),
-                       (icbounds.CellPartition, ("kappa_of",))):
+                       (icbounds.CellPartition, ("kappa_of",)),
+                       (icbounds.CorrelatedGaussianIC, ("gain", "noise_cov"))):
         assert [n for n in names if hasattr(cls, n)] == []
+    # a conference budget is a field of the channel alone
+    assert "d12" not in {f.name for f in dataclasses.fields(icbounds.SimConfig)}
+    for fn in (icbounds.inner_region_strong, icbounds.inner_region_one_sided):
+        assert "d12" not in inspect.signature(fn).parameters
+
+
+def _names_in_src():
+    """(module stem, ast node) of every node in the package's modules."""
+    src = Path(icbounds.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.stem, node
+
+
+def test_one_module_reads_the_csv_sample_count():
+    users = {stem for stem, node in _names_in_src()
+             if isinstance(node, (ast.Name, ast.alias, ast.Attribute))
+             and "FRONTIER_SAMPLES" in (getattr(node, "id", None),
+                                        getattr(node, "name", None),
+                                        getattr(node, "attr", None))}
+    assert users == {"regions"}
+
+
+def test_one_module_writes_the_overflow_text():
+    writers = [stem for stem, node in _names_in_src()
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and node.value.startswith("received powers overflow")]
+    assert writers == ["gaussian"]
 
 
 def test_one_module_sets_the_cell_budget():

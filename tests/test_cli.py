@@ -373,6 +373,35 @@ def test_simulate_noiseless_orthogonal(tmp_path, runner):
     assert doc["err1"] == 0.0 and doc["err2"] == 0.0
 
 
+def _simulate(tmp_path, runner, cfg) -> dict:
+    spec = write_json(tmp_path / "cfg.json", cfg)
+    res = runner.invoke(main, ["simulate", "--config", spec])
+    assert res.exit_code == 0, res.output
+    return json.loads(res.output)
+
+
+def test_simulate_runs_at_the_channel_budget(tmp_path, runner):
+    # a budget written only in the channel is the run's budget, as if it
+    # were written at the top level; it used to be dropped (one cell)
+    cfg = sim_config(n=10, r1=0.5, r2=0.5, trials=40, seed=4)
+    in_channel = {k: v for k, v in cfg.items() if k != "d12"}
+    top_level = {**cfg, "channel": discrete_doc(d12=0.0)}
+    got = _simulate(tmp_path, runner, in_channel)
+    assert got == _simulate(tmp_path, runner, top_level)
+    assert got["cell_count"] == 32 and got["conference_bits_per_use"] == 0.5
+    assert got["err2"] < _simulate(tmp_path, runner, {**cfg, "d12": 0.0})["err2"]
+
+
+def test_simulate_top_level_budget_overrides_the_channel(tmp_path, runner):
+    cfg = sim_config(channel=discrete_doc(d12=0.5), d12=0.2, n=10, r1=0.5,
+                     r2=0.5, trials=40, seed=4)
+    got = _simulate(tmp_path, runner, cfg)
+    want = {k: v for k, v in cfg.items() if k != "d12"}
+    want["channel"] = discrete_doc(d12=0.2)
+    assert got == _simulate(tmp_path, runner, want)
+    assert got["conference_bits_per_use"] == 0.2
+
+
 def test_identical_invocations_identical_output(tmp_path, runner):
     spec = write_json(tmp_path / "ch.json", gaussian_doc())
     outs = []
@@ -907,6 +936,8 @@ ROGUE_INPUTS = {
     "sim-r1-huge": ("simulate", sim_config(r1=1e9), 2, "exceeds cap"),
     "sim-d12-huge": ("simulate", sim_config(d12=1e300), 0, '"cell_count"'),
     "sim-d12-nan": ("simulate", sim_config(d12=float("nan")), 2, "finite"),
+    "sim-d12-negative": ("simulate", sim_config(d12=-0.1), 2,
+                         "conference capacities must be nonnegative"),
     "sim-r1-nan": ("simulate", sim_config(r1=float("nan")), 2, "finite"),
     "sim-n-nan": ("simulate", sim_config(n=float("nan")), 2, "finite"),
     "sim-r2-inf": ("simulate", sim_config(r2=float("inf")), 2, "finite"),

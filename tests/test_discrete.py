@@ -1,6 +1,6 @@
 import itertools
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from icbounds import regions
 from icbounds.cli import discrete_channel
 from icbounds.discrete import one_sided_factorization, simplex_grid
 from icbounds.errors import ChannelShapeError, InputError
-from icbounds.regions import RateRegion, frontier_csv, pentagon_vertices
+from icbounds.regions import frontier_csv, pentagon_vertices
 
 from conftest import (
     PointwiseSearchOracle,
@@ -286,7 +286,7 @@ def test_condition_unknown_id():
 
 
 def test_inner_region_constant_channel_is_origin():
-    reg = inner_region_strong(constant_output_channel(), d12=0.7, grid=5)
+    reg = inner_region_strong(replace(constant_output_channel(), d12=0.7), grid=5)
     assert is_point(reg)
 
 
@@ -295,16 +295,15 @@ def test_inner_region_fully_revealing_channel():
     w = np.zeros((4, 4, 2, 2))
     for x1, x2 in itertools.product(range(2), repeat=2):
         w[2 * x1 + x2, 2 * x1 + x2, x1, x2] = 1.0
-    reg = inner_region_strong(DiscreteIC(w), d12=0.0, grid=9)
+    reg = inner_region_strong(DiscreteIC(w), grid=9)
     assert reg.r1_max == pytest.approx(1.0, abs=1e-9)
     assert reg.r2_max == pytest.approx(1.0, abs=1e-9)
     assert float(reg.frontier_at(1.0)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_inner_region_monotone_in_conference():
-    ch = xor_copy_channel()
-    r0 = inner_region_strong(ch, d12=0.0, grid=9)
-    r1 = inner_region_strong(ch, d12=1.0, grid=9)
+    r0 = inner_region_strong(xor_copy_channel(0.0), grid=9)
+    r1 = inner_region_strong(xor_copy_channel(1.0), grid=9)
     assert includes(r1, r0, tol=1e-9)
 
 
@@ -314,7 +313,7 @@ def test_weak_channel_inner_region_keeps_its_vertices(eps):
     # bit, and the hull keeps the 9 vertices it keeps at any larger scale
     base = np.random.default_rng(3).dirichlet(np.ones(4), size=(2, 2))
     w = 0.25 + eps * (base.transpose(2, 0, 1).reshape(2, 2, 2, 2) - 0.25)
-    reg = inner_region_strong(DiscreteIC(w), 0.0, grid=11)
+    reg = inner_region_strong(DiscreteIC(w), grid=11)
     assert reg.r1.size == 9
     assert reg.r1_max < 1e-6
     # the straight chord from (0, r2_max) to (r1_max, 0) reads r2_max / 2
@@ -323,8 +322,7 @@ def test_weak_channel_inner_region_keeps_its_vertices(eps):
 
 def test_inner_region_box_bound(rng):
     for _ in range(5):
-        ch = random_discrete(rng)
-        reg = inner_region_strong(ch, d12=0.5, grid=7)
+        reg = inner_region_strong(replace(random_discrete(rng), d12=0.5), grid=7)
         assert reg.r1_max <= 1.0 + 1e-9  # log2 |X1|
         assert reg.r2_max <= 1.0 + 1e-9
         # convex: frontier matches its own hull
@@ -337,14 +335,28 @@ def test_inner_region_box_bound(rng):
 
 def test_inner_region_one_sided_gate():
     with pytest.raises(ChannelShapeError):
-        inner_region_one_sided(xor_copy_channel(), d12=0.5)
+        inner_region_one_sided(xor_copy_channel(0.5))
     w = np.zeros((2, 2, 2, 2))
     for x1, x2 in itertools.product(range(2), repeat=2):
         w[x1, x1 ^ x2, x1, x2] = 1.0
-    reg = inner_region_one_sided(DiscreteIC(w), d12=0.5, grid=9)
+    reg = inner_region_one_sided(DiscreteIC(w, d12=0.5), grid=9)
     assert reg.r1_max == pytest.approx(1.0, abs=1e-9)
     # sum limited by the interfered receiver plus the conference
     assert reg.max_sum() <= 1.5 + 1e-9
+
+
+def test_inner_regions_take_the_budget_from_the_channel():
+    w = np.zeros((2, 2, 2, 2))
+    for x1, x2 in itertools.product(range(2), repeat=2):
+        w[x1, x1 ^ x2, x1, x2] = 1.0
+    for fn, ch in ((inner_region_strong, xor_copy_channel(0.5)),
+                   (inner_region_one_sided, DiscreteIC(w, d12=0.5))):
+        for args, kw in (((0.5,), {"grid": 5}), ((0.5, 5), {}), ((), {"d12": 0.5})):
+            with pytest.raises(TypeError):
+                fn(ch, *args, **kw)
+        # the channel's budget reaches the region: it grows past the
+        # region without one
+        assert not includes(fn(replace(ch, d12=0.0), grid=5), fn(ch, grid=5))
 
 
 def test_simplex_grid():
@@ -508,17 +520,15 @@ def test_inner_csv_matches_pointwise_oracle(name, ch, grid):
     # each region lies within 1e-12 bit of the other in both rates: the
     # oracle's r1 rounds differently per p2, so where a frontier ends in a
     # vertical drop the two drops can stand an ulp apart in R1
-    def left(reg):
-        return RateRegion(np.maximum(reg.r1 - 1e-12, 0.0), reg.r2)
-
-    oracle = PointwiseSearchOracle(ch)
     for d12 in (0.0, 0.4):
+        ch = replace(ch, d12=d12)
+        oracle = PointwiseSearchOracle(ch)
         for one_sided in (False, True) if one_sided_factorization(ch) else (False,):
             fn = inner_region_one_sided if one_sided else inner_region_strong
-            got = fn(ch, d12, grid=grid)
-            want = oracle.inner_region(d12, grid, one_sided=one_sided)
-            assert includes(got, left(want), tol=1e-12)
-            assert includes(want, left(got), tol=1e-12)
+            got = fn(ch, grid=grid)
+            want = oracle.inner_region(grid, one_sided=one_sided)
+            assert includes(got, want, tol=1e-12, htol=1e-12)
+            assert includes(want, got, tol=1e-12, htol=1e-12)
 
 
 def test_pentagon_vertices_match_from_constraints(rng):
@@ -639,7 +649,8 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
     # one table per block, blocks that split the lattice unevenly, and the
     # module's own size must all give the same bytes
     rng = np.random.default_rng(77)
-    chans = [random_discrete(rng, (3, 3, 3, 3)), one_sided_channel(rng, 2)]
+    chans = [replace(random_discrete(rng, (3, 3, 3, 3)), d12=0.3),
+             replace(one_sided_channel(rng, 2), d12=0.3)]
     runs = []
     for cells in (1, 700, regions.SWEEP_CELLS):
         monkeypatch.setattr(regions, "SWEEP_CELLS", cells)
@@ -647,8 +658,8 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
         for ch in chans:
             out.append(asdict(check_condition(ch, 4, grid=7)))
             out.append(asdict(check_condition(ch, 7, grid=7, samples=10, seed=4)))
-            out.append(frontier_csv(inner_region_strong(ch, 0.3, grid=7)))
-        out.append(frontier_csv(inner_region_one_sided(chans[1], 0.3, grid=7)))
+            out.append(frontier_csv(inner_region_strong(ch, grid=7)))
+        out.append(frontier_csv(inner_region_one_sided(chans[1], grid=7)))
         runs.append(out)
     assert runs[0] == runs[1] == runs[2]
 
@@ -720,7 +731,7 @@ def test_equal_rows_give_exact_zeros():
     lat = simplex_grid(2, 41)
     assert np.all(dsc._given_x1(lat, lat, w1, h1) == 0.0)
     for grid in range(5, 42, 4):
-        assert inner_region_strong(ch, ch.d12, grid=grid).r2_max == 0.0
+        assert inner_region_strong(ch, grid=grid).r2_max == 0.0
     # constant v and v = x2 kernels, and point-mass inputs, carry no
     # information
     v_x2, const = dsc._sample_v_kernels(ch, 0, np.random.default_rng(0))[[1, 3]]

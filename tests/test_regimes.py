@@ -22,10 +22,9 @@ from icbounds.errors import (
     RegimeViolationError,
     UndefinedThresholdError,
 )
-from icbounds.regimes import REGIME_TOL
+from icbounds.regimes import REGIME_TOL, _received
 
-from conftest import oracle_system
-from reference import gaussian_mi, includes, is_point
+from reference import cascade_form, cascade_system, gaussian_mi, includes, is_point
 
 
 def margin_zero_channel(rng):
@@ -38,30 +37,51 @@ def margin_zero_channel(rng):
                                 d12=rng.uniform(0, 1))
 
 
+def effective_form(ch) -> tuple[np.ndarray, np.ndarray]:
+    """The reference's (H, noise covariance) of ``ch``, checked against the
+    cascade's equations (cov(y, x) = H P and cov(y) = H P H' + N) and
+    against the received powers and noise variances the evaluators read,
+    bit for bit."""
+    h, noise = cascade_form(ch)
+    sys, p = cascade_system(ch), np.diag([ch.p1, ch.p2])
+    ys = [sys.index("y1"), sys.index("y2")]
+    assert np.allclose(sys.cov[np.ix_(ys, [0, 1])], h @ p, rtol=1e-12, atol=1e-12)
+    assert np.allclose(sys.subcov(("y1", "y2")), h @ p @ h.T + noise,
+                       rtol=1e-12, atol=1e-12)
+    powers = [(h[i, 0] * h[i, 0] * ch.p1, h[i, 1] * h[i, 1] * ch.p2, noise[i, i])
+              for i in (0, 1)]
+    assert _received(ch, ch.kind, "", force=True) == (*powers[0], *powers[1])
+    return h, noise
+
+
 def test_effective_form_unit_gains():
     ch = CorrelatedGaussianIC("gaussian-6", 1, 1, 1, 1, 1, 1, 0.0)
-    assert np.allclose(ch.gain, [[1, 1], [2, 1]])
-    assert np.allclose(ch.noise_cov, [[1, 1], [1, 2]])
+    h, noise = effective_form(ch)
+    assert np.allclose(h, [[1, 1], [2, 1]])
+    assert np.allclose(noise, [[1, 1], [1, 2]])
 
 
 def test_effective_form_severed_cascade():
     ch = CorrelatedGaussianIC("gaussian-6", 1.2, 0.7, 0.9, 0.0, 1, 1, 0.0)
-    assert np.allclose(ch.noise_cov, np.eye(2))
-    assert np.allclose(ch.gain[1], [0.9, 0.0])
+    h, noise = effective_form(ch)
+    assert np.allclose(noise, np.eye(2))
+    assert np.allclose(h[1], [0.9, 0.0])
 
 
 def test_effective_form_reverse_cascade():
     ch = CorrelatedGaussianIC("gaussian-13", 1.0, 0.5, 2.0, 3.0, 1, 1, 0.0)
-    assert np.allclose(ch.gain[0], [2.0, 1.5])
-    assert np.allclose(ch.noise_cov, [[1.25, 0.5], [0.5, 1.0]])
+    h, noise = effective_form(ch)
+    assert np.allclose(h[0], [2.0, 1.5])
+    assert np.allclose(noise, [[1.25, 0.5], [0.5, 1.0]])
 
 
 def test_effective_form_noise_cov_psd(rng):
     for _ in range(50):
         kind = "gaussian-6" if rng.uniform() < 0.5 else "gaussian-13"
         s = rng.uniform(-3, 3, size=4)
-        ch = CorrelatedGaussianIC(kind, *s, 1.0, 1.0, 0.0)
-        assert np.min(np.linalg.eigvalsh(ch.noise_cov)) >= -1e-12
+        p1, p2 = rng.uniform(0.1, 3.0, size=2)
+        _, noise = effective_form(CorrelatedGaussianIC(kind, *s, p1, p2, 0.0))
+        assert np.min(np.linalg.eigvalsh(noise)) >= -1e-12
 
 
 def test_effective_form_unknown_kind():
@@ -249,7 +269,7 @@ def test_sum_capacity_value_hand_checked():
 
 def test_sum_capacity_saturates_at_receiver1_look():
     ch = CorrelatedGaussianIC("gaussian-6", 3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 50.0)
-    sys = oracle_system(ch)
+    sys = cascade_system(ch)
     want = gaussian_mi(sys, ("x1", "x2"), ("y1",))
     assert sum_capacity_fwd_own(ch) == pytest.approx(want, abs=1e-12)
 
@@ -404,7 +424,7 @@ def test_gate_follows_classify(rng, evaluate, kind, want):
 def _oracle_values(ch):
     """The three evaluators' values through the covariance oracle: the strong
     region as (R1 extent, R2 extent, max sum), then the two sum capacities."""
-    sys = oracle_system(ch)
+    sys = cascade_system(ch)
     f = lambda a, b, c=(): gaussian_mi(sys, a, b, c)
     r1 = f(("x1",), ("y1",), ("x2",))
     r2 = min(f(("x2",), ("y2",), ("x1",)) + ch.d12, f(("x2",), ("y1",), ("x1",)))

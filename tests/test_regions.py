@@ -113,6 +113,29 @@ def test_gap_sign():
     assert gap(low, square) == pytest.approx(-0.6, abs=1e-9)
 
 
+def test_horizontal_tolerance_forgives_an_ulp_at_a_drop_only():
+    # a frontier that drops from 2 to 0 at r1 = 100, and the same region
+    # one ulp to the right: vertically they differ by 2 at the drop
+    x0 = 100.0
+    ulp = np.spacing(x0)
+    a = RateRegion([0.0, x0, x0 + ulp], [2.0, 2.0, 0.0])
+    b = RateRegion([0.0, x0 + ulp, x0 + 2 * ulp], [2.0, 2.0, 0.0])
+    assert not includes(a, b, tol=1e-12)
+    assert includes(a, b, tol=1e-12, htol=1e-12)
+    end_a = RateRegion([0.0, x0], [2.0, 2.0])
+    end_b = RateRegion([0.0, x0 + ulp], [2.0, 2.0])
+    assert gap(end_b, end_a) == 2.0
+    assert gap(end_b, end_a, htol=1e-12) == 0.0
+    # a 1e-9 dip anywhere on a sloped frontier, its ends included, still
+    # shows through the horizontal tolerance
+    xs = np.linspace(0.0, x0, 512)
+    low = RateRegion(xs, 2.0 - xs / x0)
+    for k in (0, 1, 200, 510, 511):
+        high = RateRegion(xs, low.r2 + 1e-9 * (np.arange(512) == k))
+        assert not includes(low, high, tol=1e-12, htol=1e-12), k
+        assert gap(high, low, htol=1e-12) > 0.9e-9, k
+
+
 def test_hull_concavifies_staircase():
     stair = RateRegion(np.array([0.0, 0.5, 0.5001, 1.0]),
                        np.array([1.0, 1.0, 0.5, 0.5]))

@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -76,7 +76,7 @@ def test_dyadic_partition_is_exact():
 
 
 def test_noiseless_orthogonal_channel_decodes_perfectly():
-    cfg = SimConfig(orthogonal_channel(), n=8, r1=0.5, r2=0.5, d12=0.0,
+    cfg = SimConfig(orthogonal_channel(), n=8, r1=0.5, r2=0.5,
                     scheme="thm2", trials=400, seed=3)
     res = simulate(cfg)
     assert res.err1 == 0.0 and res.err2 == 0.0
@@ -85,7 +85,7 @@ def test_noiseless_orthogonal_channel_decodes_perfectly():
 
 def test_overloaded_rate_forces_collisions():
     # 2^{12} messages on 2^8 binary sequences must collide
-    cfg = SimConfig(orthogonal_channel(), n=8, r1=1.5, r2=0.5, d12=0.0,
+    cfg = SimConfig(orthogonal_channel(), n=8, r1=1.5, r2=0.5,
                     scheme="thm2", trials=300, seed=3)
     res = simulate(cfg)
     assert res.err1 >= 0.2
@@ -93,16 +93,16 @@ def test_overloaded_rate_forces_collisions():
 
 
 def test_seed_determinism():
-    cfg = SimConfig(xor_copy_channel(), n=8, r1=0.25, r2=0.25, d12=0.5,
+    cfg = SimConfig(xor_copy_channel(0.5), n=8, r1=0.25, r2=0.25,
                     scheme="thm2", trials=150, seed=17)
     assert simulate(cfg) == simulate(cfg)
-    other = SimConfig(xor_copy_channel(), n=8, r1=0.25, r2=0.25, d12=0.5,
+    other = SimConfig(xor_copy_channel(0.5), n=8, r1=0.25, r2=0.25,
                       scheme="thm2", trials=150, seed=18)
     assert simulate(other) != simulate(cfg)
 
 
 def test_trial_outcomes_independent_of_order():
-    cfg = SimConfig(xor_copy_channel(), n=6, r1=0.3, r2=0.3, d12=0.4,
+    cfg = SimConfig(xor_copy_channel(0.4), n=6, r1=0.3, r2=0.3,
                     scheme="thm2", trials=64, seed=9)
     pre = _Precomp(cfg)
     forward = [_run_trial(cfg, pre, t) for t in range(cfg.trials)]
@@ -113,11 +113,11 @@ def test_trial_outcomes_independent_of_order():
 
 
 def test_conference_budget_respected():
-    cfg = SimConfig(xor_copy_channel(), n=10, r1=0.7, r2=0.6, d12=0.35,
+    cfg = SimConfig(xor_copy_channel(0.35), n=10, r1=0.7, r2=0.6,
                     scheme="thm2", trials=1, seed=0)
     res = simulate(cfg)
-    assert res.cell_count <= 2.0 ** (cfg.n * cfg.d12) + 1e-9
-    assert res.conference_bits_per_use <= cfg.d12 + 1e-9
+    assert res.cell_count <= 2.0 ** (cfg.n * cfg.channel.d12) + 1e-9
+    assert res.conference_bits_per_use <= cfg.channel.d12 + 1e-9
 
 
 def test_interference_as_noise_scheme():
@@ -126,7 +126,7 @@ def test_interference_as_noise_scheme():
     w = np.zeros((2, 2, 2, 2))
     for x1, x2 in itertools.product(range(2), repeat=2):
         w[x1, x1 ^ x2, x1, x2] = 1.0
-    cfg = SimConfig(DiscreteIC(w), n=8, r1=0.25, r2=0.5, d12=0.5,
+    cfg = SimConfig(DiscreteIC(w, d12=0.5), n=8, r1=0.25, r2=0.5,
                     scheme="thm4", trials=400, seed=2)
     res = simulate(cfg)
     assert res.err1 == 0.0
@@ -136,23 +136,30 @@ def test_interference_as_noise_scheme():
 def test_message_cap():
     with pytest.raises(ResourceLimitError):
         simulate(SimConfig(orthogonal_channel(), n=16, r1=1.0, r2=0.1,
-                           d12=0.0, trials=1, seed=0, message_cap=1024))
+                           trials=1, seed=0, message_cap=1024))
 
 
 def test_config_validation():
     ch = orthogonal_channel()
     with pytest.raises(InputError):
-        SimConfig(ch, n=0, r1=0.5, r2=0.5, d12=0.0)
+        SimConfig(ch, n=0, r1=0.5, r2=0.5)
     with pytest.raises(InputError):
-        SimConfig(ch, n=4, r1=-0.5, r2=0.5, d12=0.0)
+        SimConfig(ch, n=4, r1=-0.5, r2=0.5)
     with pytest.raises(InputError):
-        SimConfig(ch, n=4, r1=0.5, r2=0.5, d12=0.0, scheme="thm9")
+        SimConfig(ch, n=4, r1=0.5, r2=0.5, scheme="thm9")
     with pytest.raises(InputError):
-        SimConfig(ch, n=4, r1=0.5, r2=0.5, d12=0.0, p1=np.array([0.5, 0.6]))
+        SimConfig(ch, n=4, r1=0.5, r2=0.5, p1=np.array([0.5, 0.6]))
+
+
+def test_config_takes_the_budget_from_its_channel():
+    with pytest.raises(TypeError):
+        SimConfig(orthogonal_channel(), n=4, r1=0.5, r2=0.5, d12=0.25)
+    pre = _Precomp(SimConfig(orthogonal_channel(0.25), n=4, r1=0.5, r2=0.5))
+    assert (pre.part.message_count, pre.part.cell_count) == (4, 2)
 
 
 def test_result_serialization():
-    cfg = SimConfig(orthogonal_channel(), n=4, r1=0.5, r2=0.5, d12=0.25,
+    cfg = SimConfig(orthogonal_channel(0.25), n=4, r1=0.5, r2=0.5,
                     trials=20, seed=1)
     doc = asdict(simulate(cfg))
     assert doc["trials"] == 20 and doc["seed"] == 1
@@ -161,10 +168,10 @@ def test_result_serialization():
 
 
 def test_error_decays_with_blocklength():
-    ch = xor_copy_channel()
+    ch = xor_copy_channel(0.5)
     errs = []
     for n in (4, 8, 12):
-        res = simulate(SimConfig(ch, n=n, r1=0.25, r2=0.25, d12=0.5,
+        res = simulate(SimConfig(ch, n=n, r1=0.25, r2=0.25,
                                  scheme="thm2", trials=2500, seed=31))
         errs.append(res)
         assert res.effective_rates == (0.25, 0.25)
@@ -407,8 +414,8 @@ TRIAL_CHANNELS = {"binary": (2, 0.0), "ternary": (3, 0.7)}
 def test_run_trial_matches_two_branch_oracle(case, scheme):
     family, n, rate, d12, p1, p2, trials = TRIAL_CASES[case]
     k, zeros = TRIAL_CHANNELS[family]
-    ch = _noisy_channel(sorted(TRIAL_CASES).index(case), k, zeros)
-    cfg = SimConfig(ch, n=n, r1=rate, r2=rate, d12=d12, scheme=scheme,
+    ch = replace(_noisy_channel(sorted(TRIAL_CASES).index(case), k, zeros), d12=d12)
+    cfg = SimConfig(ch, n=n, r1=rate, r2=rate, scheme=scheme,
                     trials=trials, seed=7, p1=p1, p2=p2)
     pre = _Precomp(cfg)
     part = pre.part
